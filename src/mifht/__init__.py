@@ -80,6 +80,7 @@ from .uniform import (
     phi_inverse,
     uniform_forward,
     uniform_invert,
+    uniform_invert_with_verdict,
     uniform_range_check,
 )
 from .problems import ProblemSpec, ResultBundle, parse_problem, run_command

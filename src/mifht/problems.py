@@ -57,8 +57,7 @@ from .uniform import (
     TGrid,
     build_spectral_data,
     uniform_forward,
-    uniform_invert,
-    uniform_range_check,
+    uniform_invert_with_verdict,
 )
 
 COMMANDS = ("forward", "invert", "range-check", "gamma-check",
@@ -287,13 +286,13 @@ def _check(value, tolerance):
 
 
 def _table(pf: PiecewiseFunction, per_interval=64):
-    rows = []
+    """Rows (interval_index, x, re_value, im_value) as one float array."""
+    blocks = []
     for j in range(pf.sys.n):
         x = pf.sys.from_unit(j, np.linspace(-1, 1, per_interval))
         v = np.asarray(pf.piece_values(j, x), dtype=complex)
-        for xi, vi in zip(x, v):
-            rows.append((j, xi, vi.real, vi.imag))
-    return rows
+        blocks.append(np.column_stack([np.full(x.shape, j), x, v.real, v.imag]))
+    return np.concatenate(blocks)
 
 
 def write_bundle(bundle: ResultBundle, outdir):
@@ -304,7 +303,7 @@ def write_bundle(bundle: ResultBundle, outdir):
     for name, rows in bundle.tables.items():
         lines = ["interval_index\tx\tre_value\tim_value"]
         for j, x, re, im in rows:
-            lines.append(f"{j}\t{x:.17g}\t{re:.17g}\t{im:.17g}")
+            lines.append(f"{int(j)}\t{x:.17g}\t{re:.17g}\t{im:.17g}")
         (out / f"{name}.tsv").write_text("\n".join(lines) + "\n")
     return out
 
@@ -455,8 +454,8 @@ def _cmd_uniform_invert(spec, sys, theta):
     g = build_rhs(spec, sys, theta)
     grid = TGrid(npoints=_pow2_points(spec), dt=spec.param("dt"))
     sd = build_spectral_data(sys)
-    verdict = uniform_range_check(sd, g, grid, tol=spec.param("tol"))
-    f = uniform_invert(sd, g, grid, range_tol=spec.param("tol"))
+    f, verdict = uniform_invert_with_verdict(sd, g, grid,
+                                             range_tol=spec.param("tol"))
     gg = uniform_forward(sd, f, grid)
     x = np.concatenate([sys.from_unit(j, np.linspace(-0.9, 0.9, 24))
                         for j in range(sys.n)])

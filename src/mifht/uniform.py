@@ -89,21 +89,31 @@ def inverse_ft(grid: TGrid, spec):
     return np.fft.fft(spec * phase, axis=-1) / (grid.npoints * grid.dt)
 
 
-def inverse_ft_at(grid: TGrid, spec, tstars, chunk=1024):
+def inverse_ft_at(grid: TGrid, spec, tstars):
     """(1/2pi) sum_r f~(lam_r) e^{-i lam_r t*} dlam at arbitrary t*.
 
     Exact trigonometric interpolation of the grid signal, so the inverse
-    map back to the intervals needs no spline stage.
+    map back to the intervals needs no spline stage.  Each integer frequency
+    m = lam / dlam, counted from the lowest bin -(P // 2), is split as
+    hi * B + lo with B ~ sqrt(P); the phase e^{-i dlam m t*} is then the
+    product of an A x T and a B x T exponential table, about 2 sqrt(P)
+    exponentials per target instead of P.
     """
     spec = np.asarray(spec)
     tst = np.atleast_1d(np.asarray(tstars, dtype=float))
-    out = np.zeros(spec.shape[:-1] + tst.shape, dtype=complex)
-    coef = grid.dlam / (2.0 * np.pi)
-    for lo in range(0, tst.size, chunk):
-        hi = min(lo + chunk, tst.size)
-        phase = np.exp(-1j * np.outer(grid.lam, tst[lo:hi]))
-        out[..., lo:hi] = coef * (spec @ phase)
-    return out
+    P = grid.npoints
+    B = int(np.ceil(np.sqrt(P)))
+    h0 = -(P // 2) // B                 # hi of the lowest bin
+    pad = -(P // 2) - h0 * B            # its lo
+    A = -(-(pad + P) // B)
+    blocks = np.zeros(spec.shape[:-1] + (A * B,), dtype=complex)
+    blocks[..., pad:pad + P] = np.fft.fftshift(spec, axes=-1)
+    blocks = blocks.reshape(spec.shape[:-1] + (A, B))
+    w = grid.dlam * tst.ravel()
+    e_lo = np.exp(-1j * np.outer(np.arange(B), w))
+    e_hi = np.exp(-1j * np.outer(B * np.arange(h0, h0 + A), w))
+    out = np.sum((blocks @ e_lo) * e_hi, axis=-2)
+    return (grid.dlam / (2.0 * np.pi) * out).reshape(spec.shape[:-1] + tst.shape)
 
 
 class SpectralData:
@@ -165,6 +175,16 @@ class SpectralData:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.stack([_polyval(x, self.omega[j]) for j in range(self.sys.n)])
 
+    def mixing_column(self, x):
+        """Column k of M at t = phi(x)/2 for x in I_k: P_j(x) sqrt(rho_j / Q(x)).
+
+        x_k = phi_k^{-1}(2t) is x itself, so no inverse map is needed;
+        shape (n,) + shape(x), with at least one trailing axis.
+        """
+        pj = self.eig_poly_eval(x)
+        rho = self.rho.reshape((-1,) + (1,) * (pj.ndim - 1))
+        return pj * np.sqrt(rho / self.q_eval(x))
+
     # -- inverse of phi on each interval --------------------------------------
 
     def inverse_map(self, k, t):
@@ -200,12 +220,8 @@ class SpectralData:
         mid_mask = np.abs(y) <= 8.0
         if np.any(mid_mask):
             ym = y[mid_mask]
-            lo = np.full(ym.shape, a + 1e-14 * (1 + abs(a)))
-            hi = np.full(ym.shape, b - 1e-14 * (1 + abs(b)))
-            lo = a + length * 1e-14
-            hi = b - length * 1e-14
-            lo = np.full(ym.shape, lo)
-            hi = np.full(ym.shape, hi)
+            lo = np.full(ym.shape, a + length * 1e-14)
+            hi = np.full(ym.shape, b - length * 1e-14)
             for _ in range(70):
                 mm = 0.5 * (lo + hi)
                 too_low = self.phi(mm) < ym  # phi decreasing: value below target -> x too far right
@@ -265,10 +281,7 @@ class SpectralData:
         if key not in self._tables:
             maps = [self.inverse_map(k, grid.t) for k in range(self.sys.n)]
             xk = np.stack([m["x"] for m in maps])          # (n, P)
-            qk = self.q_eval(xk.ravel()).reshape(xk.shape)
-            pj = np.stack([_polyval(xk.ravel(), self.omega[j]).reshape(xk.shape)
-                           for j in range(self.sys.n)])    # (n_j, n_k, P)
-            mix = pj * np.sqrt(self.rho[:, None, None] / qk[None, :, :])
+            mix = self.mixing_column(xk)                   # (n_j, n_k, P)
             self._tables[key] = {"maps": maps, "x": xk, "mix": mix}
         return self._tables[key]
 
@@ -290,9 +303,7 @@ def build_M(sd: SpectralData, t):
     n = sd.sys.n
     out = np.empty((t.size, n, n))
     for k in range(n):
-        m = sd.inverse_map(k, t)
-        pj = sd.eig_poly_eval(m["x"])
-        out[:, :, k] = (pj * np.sqrt(sd.rho[:, None] / sd.q_eval(m["x"])[None, :])).T
+        out[:, :, k] = sd.mixing_column(sd.inverse_map(k, t)["x"]).T
     return out[0] if scalar else out
 
 
@@ -380,14 +391,12 @@ def _mixed_spectrum(sd, f, grid):
 def _demix_to_function(sd, spec, grid, weighted, nmodes, real_output):
     """(F . )^{-1} then M^T then T^{-1}, sampled on Chebyshev nodes."""
     sys = sd.sys
+    s = cheb.cheb2_nodes(nmodes) if weighted else cheb.cheb1_nodes(nmodes)
     values = []
     for k in range(sys.n):
-        s = cheb.cheb2_nodes(nmodes) if weighted else cheb.cheb1_nodes(nmodes)
         x = sys.from_unit(k, s)
-        ts = 0.5 * sd.phi(x)
-        hvals = inverse_ft_at(grid, spec, ts)       # (n, len)
-        mix = build_M(sd, ts)                        # (len, n, n)
-        ch = np.einsum("pjk,jp->kp", mix, hvals)[k]  # (M^T h)_k at ts
+        hvals = inverse_ft_at(grid, spec, 0.5 * sd.phi(x))      # (n, len)
+        ch = np.sum(sd.mixing_column(x) * hvals, axis=0)       # (M^T h)_k
         fv = sd.sgn_odd[k] * np.sqrt(np.abs(sd.phi_prime(x)) / 2.0) * ch
         if weighted:
             fv = fv / sys.weight(k, x)
@@ -420,6 +429,10 @@ def uniform_range_check(sd: SpectralData, g: PiecewiseFunction,
     """
     grid = grid or TGrid()
     spec, _ = _mixed_spectrum(sd, g, grid)
+    return _range_verdict(spec, grid, g, lambda0, tol)
+
+
+def _range_verdict(spec, grid, g, lambda0, tol):
     dlam = grid.dlam
     lam = grid.lam
     norm2 = g.norm2() ** 2
@@ -446,16 +459,30 @@ def uniform_invert(sd: SpectralData, g: PiecewiseFunction, grid: TGrid = None,
     excluded (only lambda = 0 at the default grid); their energy is exactly
     the range diagnostic, so the range check runs first unless disabled.
     """
+    return uniform_invert_with_verdict(sd, g, grid, nmodes, check,
+                                       multiplier_floor, range_tol)[0]
+
+
+def uniform_invert_with_verdict(sd: SpectralData, g: PiecewiseFunction,
+                                grid: TGrid = None, nmodes=None, check=True,
+                                multiplier_floor=1e-8, range_tol=1e-6):
+    """``uniform_invert`` plus the range verdict it checked, as (f, verdict).
+
+    The verdict is the ``uniform_range_check`` result (default ``lambda0``)
+    of the same spectrum the inversion uses, so the spectrum of g is
+    computed once; it is None when ``check`` is False.
+    """
     grid = grid or TGrid()
+    spec, _ = _mixed_spectrum(sd, g, grid)
+    verdict = None
     if check:
-        verdict = uniform_range_check(sd, g, grid, tol=range_tol)
+        verdict = _range_verdict(spec, grid, g, 0.25, range_tol)
         if not verdict["pass"]:
             raise RangeViolationError(
                 "low-frequency energy test failed: dc_energy = "
                 f"{verdict['dc_energy']} > {verdict['tolerance']:.3e}")
     if nmodes is None:
         nmodes = max(c.shape[0] for c in g.coeffs) + 8
-    spec, _ = _mixed_spectrum(sd, g, grid)
     mult = 1j * np.tanh(np.pi * grid.lam / 2.0)
     inv = np.zeros_like(mult)
     keep = np.abs(mult) >= multiplier_floor
@@ -469,5 +496,6 @@ def uniform_invert(sd: SpectralData, g: PiecewiseFunction, grid: TGrid = None,
         recovered[:, 0] = sum(
             w6[r] * (recovered[:, r + 1] + recovered[:, -(r + 1)])
             for r in range(3))
-    return _demix_to_function(sd, recovered, grid, weighted=True,
-                              nmodes=nmodes, real_output=g.field == "real")
+    f = _demix_to_function(sd, recovered, grid, weighted=True,
+                           nmodes=nmodes, real_output=g.field == "real")
+    return f, verdict

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mifht import DegenerateDiagonalError, SchemaError
+import mifht.uniform
+from mifht import DegenerateDiagonalError, RangeViolationError, SchemaError
 from mifht.cli import main as cli_main
 from mifht.problems import (
     ProblemSpec,
@@ -126,7 +127,51 @@ def test_determinism():
     t2 = {k: v for k, v in b2.diagnostics.items() if k != "elapsed_seconds"}
     assert json.dumps(t1, default=str, sort_keys=True) == json.dumps(
         t2, default=str, sort_keys=True)
-    assert b1.tables["phi"] == b2.tables["phi"]
+    assert np.array_equal(b1.tables["phi"], b2.tables["phi"])
+
+
+def test_tables_are_float_arrays():
+    bundle = run_command(parse_problem(SPD2))
+    for table in bundle.tables.values():
+        assert table.dtype == np.float64 and table.shape == (2 * 64, 4)
+        np.testing.assert_array_equal(table[:, 0], np.repeat([0, 1], 64))
+
+
+def test_write_bundle_prints_interval_index_as_integer(tmp_path):
+    bundle = run_command(parse_problem(SPD2))
+    lines = (write_bundle(bundle, tmp_path) / "phi.tsv").read_text().splitlines()
+    assert lines[0] == "interval_index\tx\tre_value\tim_value"
+    assert [ln.split("\t")[0] for ln in lines[1:]] == ["0"] * 64 + ["1"] * 64
+    assert lines[1].split("\t")[1] == "-2"
+
+
+UNIFORM_IN_RANGE = """
+command = uniform-invert
+intervals = (-2,-1) (1,2.5)
+theta = uniform
+rhs = forward-of random-sqrt 8
+"""
+
+
+def test_uniform_invert_transforms_each_function_once(monkeypatch):
+    """T runs once on g and once on the recovered f; out of range, once on g."""
+    calls = []
+    apply_T = mifht.uniform.apply_T
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply_T(*args, **kwargs)
+
+    monkeypatch.setattr(mifht.uniform, "apply_T", counted)
+    bundle = run_command(parse_problem(UNIFORM_IN_RANGE))
+    assert bundle.diagnostics["range_pass"] is True
+    assert bundle.diagnostics["roundtrip_residual"]["pass"] is True
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(RangeViolationError, match="low-frequency energy"):
+        run_command(parse_problem(UNIFORM_IN_RANGE.replace(
+            "forward-of random-sqrt 8", "gaussian-bump")))
+    assert len(calls) == 1
 
 
 def test_serialization_round_trip(tmp_path):

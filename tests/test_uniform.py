@@ -26,8 +26,10 @@ from mifht.uniform import (
     phi_inverse,
     uniform_forward,
     uniform_invert,
+    uniform_invert_with_verdict,
     uniform_range_check,
 )
+from mifht.chebyshev import cheb1_nodes, cheb2_nodes
 
 GRID = TGrid(npoints=4096, dt=1.0 / 64.0)
 
@@ -141,6 +143,30 @@ def test_fourier_conventions_gaussian():
                                atol=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(3, 4096), (4096,)])
+def test_inverse_ft_at_matches_direct_sum(shape):
+    rng = np.random.default_rng(7)
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tmax = GRID.tmax
+    t = np.concatenate([[0.0, -tmax, tmax, GRID.t[0], GRID.t[-1]],
+                        rng.uniform(-tmax, tmax, 40)])
+    direct = GRID.dlam / (2 * np.pi) * (spec @ np.exp(-1j * np.outer(GRID.lam, t)))
+    got = inverse_ft_at(GRID, spec, t)
+    assert got.shape == direct.shape
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("npoints", [1000, 1023])
+def test_inverse_ft_at_any_grid_size(npoints):
+    grid = TGrid(npoints=npoints, dt=1.0 / 16.0)
+    rng = np.random.default_rng(npoints)
+    spec = rng.standard_normal(npoints) + 1j * rng.standard_normal(npoints)
+    t = np.array([0.0, -grid.tmax, grid.tmax, 1.234])
+    direct = grid.dlam / (2 * np.pi) * (spec @ np.exp(-1j * np.outer(grid.lam, t)))
+    got = inverse_ft_at(grid, spec, t)
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_apply_T_constant_is_sech(sd1):
     one = PiecewiseFunction.from_callable(sd1.sys, lambda x: np.ones_like(x), N=6)
     cv = apply_T(sd1, one, GRID)
@@ -194,6 +220,14 @@ def test_M_orthogonal(nsys, sd1, sd2, sd3):
     prod = np.einsum("pji,pjk->pik", M, M)
     eye = np.tile(np.eye(sd.sys.n), (t.size, 1, 1))
     assert np.max(np.abs(prod - eye)) <= 1e-10
+
+
+@pytest.mark.parametrize("nodes", [cheb1_nodes, cheb2_nodes])
+def test_mixing_column_matches_build_M(sd3, nodes):
+    for k in range(3):
+        x = sd3.sys.from_unit(k, nodes(40))
+        M = build_M(sd3, 0.5 * sd3.phi(x))
+        assert np.max(np.abs(sd3.mixing_column(x) - M[:, :, k].T)) <= 1e-12
 
 
 def test_M_n1_is_unit(sd1):
@@ -298,6 +332,19 @@ def test_range_check_forward_image_passes(sd2):
     verdict = uniform_range_check(sd2, g, GRID)
     assert verdict["pass"] is True
     assert np.all(verdict["dc_energy"] <= verdict["tolerance"])
+
+
+def test_invert_verdict_is_the_range_check(sd2):
+    f = random_sqrt_vanishing(sd2.sys, modes=10, seed=42)
+    g = uniform_forward(sd2, f, GRID)
+    back, verdict = uniform_invert_with_verdict(sd2, g, GRID)
+    ref = uniform_range_check(sd2, g, GRID)
+    assert verdict["pass"] is ref["pass"] is True
+    for key in ("dc_energy", "windowed_energy", "tolerance"):
+        np.testing.assert_array_equal(verdict[key], ref[key])
+    x = sd2.sys.from_unit(1, np.linspace(-0.9, 0.9, 7))
+    np.testing.assert_array_equal(back(x), uniform_invert(sd2, g, GRID)(x))
+    assert uniform_invert_with_verdict(sd2, g, GRID, check=False)[1] is None
 
 
 def test_range_check_zero_passes(sd2):
