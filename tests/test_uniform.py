@@ -143,27 +143,21 @@ def test_fourier_conventions_gaussian():
                                atol=1e-13)
 
 
-@pytest.mark.parametrize("shape", [(3, 4096), (4096,)])
-def test_inverse_ft_at_matches_direct_sum(shape):
+@pytest.mark.parametrize("grid, shape", [
+    (GRID, (3, 4096)),
+    (GRID, (4096,)),
+    (TGrid(npoints=1000, dt=1.0 / 16.0), (1000,)),  # P not a square
+    (TGrid(npoints=1023, dt=1.0 / 16.0), (2, 1023)),  # odd P
+])
+def test_inverse_ft_at_matches_direct_sum(grid, shape):
     rng = np.random.default_rng(7)
     spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    tmax = GRID.tmax
-    t = np.concatenate([[0.0, -tmax, tmax, GRID.t[0], GRID.t[-1]],
+    tmax = grid.tmax
+    t = np.concatenate([[0.0, -tmax, tmax, grid.t[0], grid.t[-1]],
                         rng.uniform(-tmax, tmax, 40)])
-    direct = GRID.dlam / (2 * np.pi) * (spec @ np.exp(-1j * np.outer(GRID.lam, t)))
-    got = inverse_ft_at(GRID, spec, t)
-    assert got.shape == direct.shape
-    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
-
-
-@pytest.mark.parametrize("npoints", [1000, 1023])
-def test_inverse_ft_at_any_grid_size(npoints):
-    grid = TGrid(npoints=npoints, dt=1.0 / 16.0)
-    rng = np.random.default_rng(npoints)
-    spec = rng.standard_normal(npoints) + 1j * rng.standard_normal(npoints)
-    t = np.array([0.0, -grid.tmax, grid.tmax, 1.234])
     direct = grid.dlam / (2 * np.pi) * (spec @ np.exp(-1j * np.outer(grid.lam, t)))
     got = inverse_ft_at(grid, spec, t)
+    assert got.shape == direct.shape
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
