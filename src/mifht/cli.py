@@ -63,7 +63,7 @@ def build_parser():
 def main(argv=None):
     _apply_thread_cap()
     args = build_parser().parse_args(argv)
-    from .problems import parse_problem, run_command, write_bundle
+    from .problems import parse_lambda, parse_problem, run_command, write_bundle
 
     try:
         spec = parse_problem(args.problem)
@@ -73,8 +73,7 @@ def main(argv=None):
             if val is not None:
                 spec.params[key] = val
         if args.lam is not None:
-            re, im = (float(p) for p in args.lam.split(","))
-            spec.params["lambda"] = complex(re, im)
+            spec.params["lambda"] = parse_lambda(args.lam)
         bundle = run_command(spec)
     except tuple(exc for exc, _ in _flat_codes()) as err:
         code = _code_for(err)

@@ -44,6 +44,8 @@ from .solver import (
     assemble_K,
     compute_c,
     compute_nu,
+    extreme_singular_values,
+    _range2_moments,
     _solve_refined,
 )
 
@@ -124,10 +126,10 @@ def compute_F(nystrom: NystromSystem, kernel: IntegrableKernelData):
     rhs = np.zeros((total, n), dtype=complex)
     for j in range(n):
         rhs[ns.offsets[j]: ns.offsets[j + 1], j] = -2j
-    svals = np.linalg.svd(ns.matrix, compute_uv=False)
-    if svals[-1] < 1e-12 * svals[0]:
+    sigma_min, sigma_max, _ = extreme_singular_values(ns)
+    if sigma_min < 1e-12 * sigma_max:
         raise NearSingularError(
-            f"Id - K/lambda numerically singular: sigma_min = {svals[-1]:.3e}")
+            f"Id - K/lambda numerically singular: sigma_min = {sigma_min:.3e}")
     smooth = _solve_refined(ns.matrix.astype(complex), rhs).T  # (n, total)
     residual = float(np.max(np.abs(ns.matrix @ smooth.T - rhs)))
     wts = np.concatenate([ns.sys.weight(l, ns.grid.nodes[l]) for l in range(n)])
@@ -465,31 +467,10 @@ def range_condition_J12(theta, nu: PiecewiseFunction, gamma: GammaSolution,
     Together they equal the second-condition moment of nu + hat R nu.
     """
     theta = as_theta(theta)
-    sys = nu.sys
     corr = gamma.apply_resolvent(nu, nmodes=nmodes)
     j1 = _range2_moments(theta, nu)
     j2 = _range2_moments(theta, corr)
     return j1 + j2
-
-
-def _range2_moments(theta, phi: PiecewiseFunction, order=None):
-    """(1/pi) sum_{k != m} theta_mk int_{I_k} phi_k / R_m dy, per m."""
-    from .solver import _piece_integral
-
-    theta = as_theta(theta)
-    sys = phi.sys
-    out = np.zeros(sys.n, dtype=complex)
-    for m in range(sys.n):
-        for k in range(sys.n):
-            if k == m or theta[m, k] == 0.0:
-                continue
-
-            def inv_rad(x, m=m):
-                s = (x - sys.mid[m]) / sys.half[m]
-                return 1.0 / (sys.half[m] * np.sign(s) * np.sqrt(s * s - 1.0))
-
-            out[m] += theta[m, k] * _piece_integral(phi, k, inv_rad, order=order)
-    return out / np.pi
 
 
 def range_check_L1_variant(psi: PiecewiseFunction, gamma: GammaSolution,

@@ -96,7 +96,10 @@ class ProblemSpec:
             return ThetaMatrix(np.ones((n, n)))
         if self.theta == "identity":
             return ThetaMatrix(np.eye(n))
-        t = np.asarray(self.theta, dtype=float)
+        try:
+            t = np.asarray(self.theta, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise SchemaError(f"theta: entries must be numbers: {exc}") from None
         if t.shape != (n, n):
             raise SchemaError(
                 f"theta shape {t.shape} does not match {n} intervals")
@@ -162,11 +165,7 @@ def parse_problem(source) -> ProblemSpec:
                 raise SchemaError(f"{key}: {exc}") from None
     lam_raw = take("lambda")
     if lam_raw is not None:
-        try:
-            re, im = (float(p) for p in lam_raw.split(","))
-            params["lambda"] = complex(re, im)
-        except ValueError as exc:
-            raise SchemaError(f"lambda: expected RE,IM: {exc}") from None
+        params["lambda"] = parse_lambda(lam_raw)
     if entries:
         bad = ", ".join(f"'{k}' (line {v[1]})" for k, v in entries.items())
         raise SchemaError(f"unknown keys: {bad}")
@@ -178,6 +177,32 @@ def parse_problem(source) -> ProblemSpec:
     return spec
 
 
+def parse_lambda(raw) -> complex:
+    """The spectral parameter from its ``RE,IM`` text form."""
+    try:
+        re, im = (float(p) for p in raw.split(","))
+    except ValueError as exc:
+        raise SchemaError(f"lambda: expected RE,IM: {exc}") from None
+    return complex(re, im)
+
+
+def validate_params(spec: ProblemSpec):
+    """Reject numeric parameters no command can run with.
+
+    Runs on the final parameters, after any command-line overrides.
+    """
+    for key, low in (("nystrom", 1), ("modes", 2)):
+        if spec.param(key) < low:
+            raise SchemaError(f"{key} must be at least {low}, got {spec.param(key)}")
+    for key in ("dt", "tmax"):
+        val = spec.param(key)
+        if not (np.isfinite(val) and val > 0):
+            raise SchemaError(f"{key} must be finite and positive, got {val}")
+    lam = spec.param("lambda")
+    if not np.isfinite(lam) or lam == 0:
+        raise SchemaError(f"lambda must be finite and nonzero, got {lam}")
+
+
 # ---------------------------------------------------------------------------
 # rhs presets
 
@@ -187,21 +212,32 @@ def build_rhs(spec: ProblemSpec, sys: IntervalSystem, theta: ThetaMatrix
     return _build_preset(spec.rhs, spec, sys, theta)
 
 
+def _arg(name, args, i, conv, default):
+    """Preset argument i converted by conv, or the default when absent."""
+    if len(args) <= i:
+        return default
+    try:
+        return conv(args[i])
+    except ValueError:
+        raise SchemaError(f"rhs {name}: argument {i + 1} must be "
+                          f"{conv.__name__}, got {args[i]!r}") from None
+
+
 def _build_preset(tokens, spec, sys, theta) -> PiecewiseFunction:
     if not tokens:
         raise SchemaError("empty rhs preset")
     name, *args = tokens
     N = spec.param("modes")
     if name == "const":
-        v = float(args[0]) if args else 1.0
+        v = _arg(name, args, 0, float, 1.0)
         return PiecewiseFunction.from_callable(sys, lambda x: np.full_like(x, v), N=8)
     if name == "linear":
-        a = float(args[0]) if args else 0.0
-        b = float(args[1]) if len(args) > 1 else 1.0
+        a = _arg(name, args, 0, float, 0.0)
+        b = _arg(name, args, 1, float, 1.0)
         return PiecewiseFunction.from_callable(sys, lambda x: a + b * x, N=8)
     if name == "cheb-sqrt":
-        k = int(args[0]) if args else 0
-        amp = float(args[1]) if len(args) > 1 else 1.0
+        k = _arg(name, args, 0, int, 0)
+        amp = _arg(name, args, 1, float, 1.0)
         coeffs = []
         for _ in range(sys.n):
             c = np.zeros(max(k + 1, 2))
@@ -209,14 +245,14 @@ def _build_preset(tokens, spec, sys, theta) -> PiecewiseFunction:
             coeffs.append(c)
         return PiecewiseFunction(sys, coeffs, weighted=True, field="real")
     if name == "gaussian-bump":
-        center = float(args[0]) if args else float(np.mean(sys.mid))
-        width = float(args[1]) if len(args) > 1 else 0.5
-        amp = float(args[2]) if len(args) > 2 else 1.0
+        center = _arg(name, args, 0, float, float(np.mean(sys.mid)))
+        width = _arg(name, args, 1, float, 0.5)
+        amp = _arg(name, args, 2, float, 1.0)
         return PiecewiseFunction.from_callable(
             sys, lambda x: amp * np.exp(-(((x - center) / width) ** 2)), N=N)
     if name == "random-sqrt":
-        modes = int(args[0]) if args else 16
-        amp = float(args[1]) if len(args) > 1 else 1.0
+        modes = _arg(name, args, 0, int, 16)
+        amp = _arg(name, args, 1, float, 1.0)
         f = random_sqrt_vanishing(sys, modes=modes, seed=spec.param("seed"))
         return f * amp
     if name == "forward-of":
@@ -231,9 +267,12 @@ def _build_preset(tokens, spec, sys, theta) -> PiecewiseFunction:
 
 def _load_samples(path, sys, N):
     try:
-        data = np.loadtxt(path)
-    except ValueError:
-        data = np.loadtxt(path, skiprows=1)  # header row
+        try:
+            data = np.loadtxt(path)
+        except ValueError:
+            data = np.loadtxt(path, skiprows=1)  # header row
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"samples: cannot read {path}: {exc}") from None
     if data.ndim == 1:
         data = data[None, :]
     if data.shape[1] < 3:
@@ -320,6 +359,7 @@ def read_table(path):
 
 
 def run_command(spec: ProblemSpec) -> ResultBundle:
+    validate_params(spec)
     sys = spec.system()
     theta = spec.theta_matrix()
     t0 = time.time()

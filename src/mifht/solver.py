@@ -265,6 +265,51 @@ def _solve_refined(A, b):
     return x
 
 
+# relative Frobenius accuracy of the low-rank sketch of K, and its block size
+SKETCH_TOL = 1e-14
+SKETCH_BLOCK = 32
+
+
+def extreme_singular_values(ns: NystromSystem):
+    """(sigma_min, sigma_max, err) of ``ns.matrix`` = Id - K/lambda.
+
+    K has zero diagonal blocks and smooth off-diagonal blocks, so it has
+    low numerical rank.  A randomized range finder (Halko-Martinsson-Tropp,
+    SIAM Rev. 2011) with a fixed seed grows an orthonormal Q, SKETCH_BLOCK
+    columns at a time, until ``err = ||K - Q W||_F <= SKETCH_TOL max(1,
+    ||K||_F)`` with W = Q^H K, or until Q spans the whole space.  On the
+    span P of [Q, W^H] the operator Id - Q W acts as B = I - (P^H Q)(W P),
+    and as the identity on its complement, so its singular values are those
+    of B plus 1 repeated N - dim P times.  When dim P < N, dim P is twice
+    the k columns of Q, so B fixes the null space of the k x dim P matrix
+    W P and its extremes already bracket 1.  By Weyl's inequality each
+    differs from the dense value by at most err.
+    """
+    A = ns.kernel  # real; K = A / lam
+    N = A.shape[0]
+    lam = ns.lam if np.iscomplexobj(ns.matrix) else float(np.real(ns.lam))
+    target = SKETCH_TOL * max(abs(lam), np.linalg.norm(A))
+    rng = np.random.default_rng(0)
+    Q = np.empty((N, 0))
+    resid = A
+    while True:
+        k = Q.shape[1]
+        Y = resid @ rng.standard_normal((N, min(SKETCH_BLOCK, N - k)))
+        # one Householder QR of [Q, Y] keeps the new block orthogonal to Q
+        # even where Y is rank deficient
+        block = np.linalg.qr(np.hstack([Q, Y]))[0][:, k:]
+        Q = np.hstack([Q, block])
+        resid = resid - block @ (block.T @ resid)
+        err = np.linalg.norm(resid)
+        if err <= target or Q.shape[1] == N:
+            break
+    W = (Q.T @ A) / lam
+    P = np.linalg.qr(np.hstack([Q, W.conj().T]))[0]
+    B = np.eye(P.shape[1]) - (P.conj().T @ Q) @ (W @ P)
+    svals = np.linalg.svd(B, compute_uv=False)
+    return float(svals[-1]), float(svals[0]), float(err / abs(lam))
+
+
 # ---------------------------------------------------------------------------
 # the direct solver
 
@@ -284,8 +329,8 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None,
 
     Diagnostics: linear-system residual, smallest singular value, and the
     second range-condition residual of the recovered solution.  For non-SPD
-    classifications the invertibility of Id - K is certified numerically
-    only; a warning records that.
+    classifications with a nonzero off-diagonal part the invertibility of
+    Id - K is certified numerically only; a warning records that.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -299,16 +344,15 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None,
     if real_data:
         rhs = rhs.real
 
-    svals = np.linalg.svd(ns.matrix, compute_uv=False)
-    sigma_min = float(svals[-1])
-    if sigma_min < sigma_floor * svals[0]:
+    sigma_min, sigma_max, _ = extreme_singular_values(ns)
+    if sigma_min < sigma_floor * sigma_max:
         raise NearSingularError(
             f"Id - K numerically singular: sigma_min = {sigma_min:.3e}")
     sol = _solve_refined(ns.matrix, rhs)
     residual = float(np.max(np.abs(ns.matrix @ sol - rhs)) / (1.0 + np.max(np.abs(rhs))))
 
     warn = None
-    if theta.classification not in (SPD,):
+    if theta.classification != SPD and np.any(theta.off):
         warn = ("theta is not symmetric positive definite: invertibility of "
                 "Id - K is certified numerically only (sigma_min = %.3e)" % sigma_min)
         warnings.warn(warn, stacklevel=2)
@@ -345,17 +389,12 @@ def _piece_integral(pf: PiecewiseFunction, k, fn, order=None):
     return np.sum(grid.weights[k] * pf.piece_values(k, x) * fn(x))
 
 
-def residual_range2(theta, phi: PiecewiseFunction, c):
-    """r_m = (1/pi) sum_{k != m} theta_mk int_{I_k} phi_k / R_m dy  -  c_m.
-
-    The second necessary range condition, evaluable from any candidate
-    solution without the Riemann-Hilbert machinery.
-    """
+def _range2_moments(theta, phi: PiecewiseFunction, order=None):
+    """(1/pi) sum_{k != m} theta_mk int_{I_k} phi_k / R_m dy, per m."""
     theta = as_theta(theta)
     sys = phi.sys
     out = np.zeros(sys.n, dtype=complex)
     for m in range(sys.n):
-        acc = 0.0
         for k in range(sys.n):
             if k == m or theta[m, k] == 0.0:
                 continue
@@ -364,8 +403,17 @@ def residual_range2(theta, phi: PiecewiseFunction, c):
                 s = (x - sys.mid[m]) / sys.half[m]
                 return 1.0 / (sys.half[m] * np.sign(s) * np.sqrt(s * s - 1.0))
 
-            acc = acc + theta[m, k] * _piece_integral(phi, k, inv_rad)
-        out[m] = acc / np.pi - c[m]
+            out[m] += theta[m, k] * _piece_integral(phi, k, inv_rad, order=order)
+    return out / np.pi
+
+
+def residual_range2(theta, phi: PiecewiseFunction, c):
+    """r_m = (1/pi) sum_{k != m} theta_mk int_{I_k} phi_k / R_m dy  -  c_m.
+
+    The second necessary range condition, evaluable from any candidate
+    solution without the Riemann-Hilbert machinery.
+    """
+    out = _range2_moments(theta, phi) - c
     if phi.field == "real":
         out = np.real(out)
     return out
@@ -373,9 +421,6 @@ def residual_range2(theta, phi: PiecewiseFunction, c):
 
 # ---------------------------------------------------------------------------
 # the Fourier-side bilinear form and injectivity diagnostics
-
-
-_XI_CACHE = {}
 
 
 def _ft_nodes(pf: PiecewiseFunction, j, order):
@@ -472,14 +517,14 @@ def injectivity_report(theta, sys: IntervalSystem, size=96, n_samples=20,
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
     ns = assemble_K(sys, theta, size=size, lam=1.0)
-    svals = np.linalg.svd(ns.matrix, compute_uv=False)
+    sigma_min, sigma_max, _ = extreme_singular_values(ns)
     rng = np.random.default_rng(seed)
     fs = [random_sqrt_vanishing(sys, modes=modes, rng=rng) for _ in range(n_samples)]
     jvals = bilinear_form_J_many(theta, fs, n_xi=2 ** 12)
     norms = np.array([f.norm2() ** 2 for f in fs])
     return {
-        "sigma_min": float(svals[-1]),
-        "sigma_max": float(svals[0]),
+        "sigma_min": sigma_min,
+        "sigma_max": sigma_max,
         "j_over_norm_min": float(np.min(jvals / norms)),
         "j_samples": jvals,
         "spd": theta.classification == SPD,

@@ -225,6 +225,40 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["uniform-invert", "--problem", str(out_of_range)]) == 5
 
 
+UNIFORM1 = """
+command = uniform-invert
+intervals = (-1,1)
+theta = uniform
+rhs = forward-of random-sqrt 8
+"""
+
+MALFORMED = {
+    "lambda-without-imaginary-part": (MINIMAL, ["invert", "--lambda", "1"]),
+    "lambda-zero": (MINIMAL, ["invert", "--lambda", "0,0"]),
+    "lambda-not-finite": (MINIMAL + "lambda = nan,0\n", ["invert"]),
+    "nystrom-zero": (MINIMAL, ["invert", "--nystrom", "0"]),
+    "modes-one": (MINIMAL, ["invert", "--modes", "1"]),
+    "theta-entry-not-a-number": (
+        MINIMAL.replace("(-1,1)", "(-2,-1) (1,2)").replace(
+            "identity", '[[1,"a"],[0.5,1]]'), ["invert"]),
+    "samples-file-missing": (
+        MINIMAL.replace("linear 0 1", "samples /nonexistent/psi.tsv"), ["invert"]),
+    "preset-argument-not-an-integer": (
+        MINIMAL.replace("linear 0 1", "cheb-sqrt x"), ["invert"]),
+    "dt-zero": (UNIFORM1 + "dt = 0\n", ["uniform-invert"]),
+    "tmax-negative": (UNIFORM1, ["uniform-invert", "--tmax", "-1"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_malformed_input_exits_2(case, tmp_path, capsys):
+    text, (command, *options) = MALFORMED[case]
+    prob = tmp_path / "p.txt"
+    prob.write_text(text)
+    assert cli_main([command, "--problem", str(prob), *options]) == 2
+    assert "SchemaError" in capsys.readouterr().err
+
+
 def test_cli_writes_output(tmp_path):
     prob = tmp_path / "p.txt"
     prob.write_text(MINIMAL)

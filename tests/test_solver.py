@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from mifht import (
 from mifht.solver import (
     DEGENERATE,
     INVERTIBLE_DIAGONAL,
+    SKETCH_BLOCK,
+    SKETCH_TOL,
     SPD,
     SYMMETRIC_INVERTIBLE,
     UNIFORM,
@@ -21,6 +25,7 @@ from mifht.solver import (
     bilinear_form_J_many,
     compute_c,
     compute_nu,
+    extreme_singular_values,
     forward_map,
     injectivity_report,
     random_sqrt_vanishing,
@@ -216,6 +221,60 @@ def test_grid_convergence_until_floor(sys2, theta2):
         assert e2 <= e1 / 10 or e2 <= 1e-10
 
 
+# -- extreme singular values of Id - K/lambda ----------------------------------
+
+
+def _dense_sigmas(ns):
+    s = np.linalg.svd(ns.matrix, compute_uv=False)
+    return s[-1], s[0]
+
+
+def _theta_off(n, off):
+    t = np.full((n, n), off)
+    np.fill_diagonal(t, 1.0)
+    return ThetaMatrix(t)
+
+
+N3 = [(-3.0, -2.0), (-1.0, 0.0), (1.0, 3.0)]
+SIGMA_CASES = {  # intervals, off-diagonal theta, nystrom size, lambda
+    "n3-M256": (N3, 0.5, 256, 1.0),
+    "n4-M256": ([(-4.0, -3.0), (-2.5, -1.5), (-1.0, 0.5), (1.0, 3.0)], 0.3, 256, 1.0),
+    "gap-0.01": ([(-1.0, 0.0), (0.01, 1.0)], 0.5, 256, 1.0),
+    "complex-lambda": (N3, 0.5, 128, 0.7 + 0.4j),
+    "negative-lambda": (N3, 0.5, 128, -2.0),
+    "whole-space": ([(-2.0, -1.0), (1.0, 2.0)], 0.5, 3 * SKETCH_BLOCK // 4, 1.0),
+    "smaller-than-a-block": ([(-2.0, -1.0), (1.0, 2.0)], 0.5, 8, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", SIGMA_CASES)
+def test_extreme_singular_values_match_dense_svd(case):
+    intervals, off, size, lam = SIGMA_CASES[case]
+    ns = assemble_K(make_interval_system(intervals),
+                    _theta_off(len(intervals), off), size=size, lam=lam)
+    sigma_min, sigma_max, err = extreme_singular_values(ns)
+    dense_min, dense_max = _dense_sigmas(ns)
+    assert abs(sigma_min - dense_min) <= 1e-12
+    assert abs(sigma_max - dense_max) <= 1e-12
+    assert err <= SKETCH_TOL * max(1.0, np.linalg.norm(ns.kernel / ns.lam))
+    assert extreme_singular_values(ns) == (sigma_min, sigma_max, err)
+
+
+def test_extreme_singular_values_of_zero_kernel_are_one(sys3):
+    ns = assemble_K(sys3, ThetaMatrix(np.diag([1.0, -2.0, 0.5])), size=40)
+    assert extreme_singular_values(ns) == (1.0, 1.0, 0.0)
+
+
+def test_reported_sigmas_match_dense_svd(sys3, theta3):
+    psi = forward_map(theta3, random_sqrt_vanishing(sys3, modes=8, seed=3))
+    res = solve_phi(theta3, psi, size=64)
+    dense_min, dense_max = _dense_sigmas(res.nystrom)
+    assert abs(res.diagnostics["sigma_min"] - dense_min) <= 1e-12
+    rep = injectivity_report(theta3, sys3, size=64, n_samples=2)
+    assert abs(rep["sigma_min"] - dense_min) <= 1e-12
+    assert abs(rep["sigma_max"] - dense_max) <= 1e-12
+
+
 def test_solve_warns_for_non_spd(sys2):
     th = ThetaMatrix([[1.0, 0.4], [0.1, 1.0]])
     phi0 = random_sqrt_vanishing(sys2, modes=8, seed=7)
@@ -223,6 +282,15 @@ def test_solve_warns_for_non_spd(sys2):
     with pytest.warns(UserWarning, match="numerically"):
         res = solve_phi(th, psi, size=32)
     assert res.diagnostics["warning"] is not None
+
+
+def test_solve_does_not_warn_when_theta_is_diagonal(sys2):
+    th = ThetaMatrix([[1.0, 0.0], [0.0, -1.0]])
+    psi = forward_map(th, random_sqrt_vanishing(sys2, modes=8, seed=7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        res = solve_phi(th, psi, size=32)
+    assert res.diagnostics["warning"] is None
 
 
 # -- second range condition residual -------------------------------------------
