@@ -30,6 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import DomainError
 from .intervals import IntervalSystem, joukowski_exterior
@@ -54,11 +55,6 @@ def cheb2_nodes(N):
 
 
 @lru_cache(maxsize=64)
-def _cheb1_theta(N):
-    return np.pi * (np.arange(N) + 0.5) / N
-
-
-@lru_cache(maxsize=64)
 def _cheb2_theta(N):
     return np.pi * np.arange(1, N + 1) / (N + 1)
 
@@ -66,26 +62,25 @@ def _cheb2_theta(N):
 def chebT_coeffs(values):
     """T coefficients of the interpolant through values at cheb1_nodes(N).
 
-    ``values`` are ordered to match cheb1_nodes (ascending nodes).
+    ``values`` are ordered to match cheb1_nodes (ascending nodes); the map
+    b_n = (2/N) sum_q v_q cos(n theta_q), b_0 halved, is a DCT-II along
+    the last axis once the ascending-node reversal is undone.
     """
     v = np.asarray(values)
-    N = v.shape[-1]
-    theta = _cheb1_theta(N)
-    # undo the ascending-node reversal
-    M = np.cos(np.outer(np.arange(N), theta))  # (n, q)
-    b = (2.0 / N) * (v[..., ::-1] @ M.T)
+    b = scipy.fft.dct(v[..., ::-1], type=2, axis=-1) / v.shape[-1]
     b[..., 0] *= 0.5
     return b
 
 
 def chebU_coeffs(values):
-    """U coefficients of the interpolant through values at cheb2_nodes(N)."""
+    """U coefficients of the interpolant through values at cheb2_nodes(N).
+
+    a_k = (2/(N+1)) sum_q v_q sin(theta_q) sin((k+1) theta_q), a DST-I.
+    """
     v = np.asarray(values)
     N = v.shape[-1]
-    theta = _cheb2_theta(N)
-    M = np.sin(np.outer(np.arange(1, N + 1), theta))  # (k+1, q)
-    a = (2.0 / (N + 1)) * ((v[..., ::-1] * np.sin(theta)) @ M.T)
-    return a
+    return scipy.fft.dst(v[..., ::-1] * np.sin(_cheb2_theta(N)), type=1,
+                         axis=-1) / (N + 1)
 
 
 def clenshaw_T(b, s):
@@ -113,12 +108,12 @@ def clenshaw_U(a, s):
 def chebU_to_T(a):
     """Exact T coefficients of the polynomial sum a_k U_k."""
     a = np.asarray(a)
-    n = a.shape[0]
-    b = np.zeros(n, dtype=a.dtype)
-    # U_k = 2 (T_k + T_{k-2} + ...) with the T_0 term halved
-    for k in range(n):
-        for m in range(k, -1, -2):
-            b[m] += 2.0 * a[k] if m > 0 else a[k]
+    b = np.empty(a.shape, dtype=np.result_type(a, float))
+    # U_k = 2 (T_k + T_{k-2} + ...) with the T_0 term halved, so b_m sums
+    # 2 a_k over k >= m of the parity of m
+    for p in (0, 1):
+        b[p::2] = 2.0 * np.cumsum(a[p::2][::-1])[::-1]
+    b[:1] *= 0.5
     return b
 
 
@@ -142,11 +137,9 @@ def chebU_integral(a):
 def chebU_first_moment(a):
     """int_{-1}^{1} s * sum a_k U_k ds, via s U_k = (U_{k+1} + U_{k-1})/2."""
     a = np.asarray(a)
-    ext = np.zeros(a.shape[0] + 1, dtype=a.dtype)
-    for k in range(a.shape[0]):
-        ext[k + 1] += 0.5 * a[k]
-        if k >= 1:
-            ext[k - 1] += 0.5 * a[k]
+    ext = np.zeros(a.shape[0] + 1, dtype=np.result_type(a, float))
+    ext[1:] += 0.5 * a
+    ext[:-2] += 0.5 * a[1:]
     return chebU_integral(ext)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     NearSingularError,
     SymmetryError,
 )
-from .intervals import ABOVE, BELOW, IntervalSystem, joukowski_exterior
+from .intervals import ABOVE, BELOW, IntervalSystem, joukowski_exterior, radical_eval
 from .quadrature import chebyshev2_grid
 from .solver import (
     NystromSystem,
@@ -78,30 +78,40 @@ class IntegrableKernelData:
         for a in range(sys.n):
             if a == k:
                 continue
-            s = (x - sys.mid[a]) / sys.half[a]
-            ra = sys.half[a] * np.sign(s) * np.sqrt(s * s - 1.0)
-            out[a] = th[a, k] / (th[a, a] * ra)
+            out[a] = th[a, k] / (th[a, a] * radical_eval(sys, a, x).real)
         return out
+
+    def _per_interval(self, x, piece, dtype, name):
+        """Rows piece(k, x_k) of shape (n, P_k) placed at the points of each I_k.
+
+        Shape (n,) for scalar x, else (P, n); points off the open intervals
+        raise EndpointError.
+        """
+        pts = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros((pts.size, self.sys.n), dtype=dtype)
+        hit = np.zeros(pts.size, dtype=bool)
+        for k in range(self.sys.n):
+            m = (self.sys.alpha[k] < pts) & (pts < self.sys.beta[k])
+            out[m] = piece(k, pts[m]).T
+            hit |= m
+        if not np.all(hit):
+            raise EndpointError(f"{name} is defined on the open intervals only")
+        return out if np.ndim(x) else out[0]
 
     def f_vector(self, x):
-        """Full f(x) as an n-vector for real x inside the system."""
-        k = self.sys.locate(x)
-        if k < 0:
-            raise EndpointError("f is defined on the open intervals only")
-        out = np.zeros(self.sys.n, dtype=complex)
-        out[k] = self.f_component(k, x)
-        return out
+        """f(x) for real x inside the system; shape (n,) or (len(x), n)."""
+        eye = np.eye(self.sys.n)
+        return self._per_interval(
+            x, lambda k, xk: np.outer(eye[k], self.f_component(k, xk)), complex, "f")
 
     def g_vector(self, x):
-        k = self.sys.locate(x)
-        if k < 0:
-            raise EndpointError("g is defined on the open intervals only")
-        return self.g_matrix(k, np.asarray([x]))[:, 0]
+        """g(x) for real x inside the system; shape (n,) or (len(x), n)."""
+        return self._per_interval(x, self.g_matrix, float, "g")
 
     def orthogonality_residual(self, points):
         """max |f^t(x) g(x)| over the points (structurally zero)."""
-        vals = [abs(np.dot(self.f_vector(x), self.g_vector(x))) for x in points]
-        return max(vals) if vals else 0.0
+        fg = np.sum(self.f_vector(points) * self.g_vector(points), axis=-1)
+        return float(np.max(np.abs(fg), initial=0.0))
 
 
 def build_kernel_vectors(sys: IntervalSystem, theta) -> IntegrableKernelData:
@@ -200,12 +210,8 @@ class GammaSolution:
         for l in range(n):
             s = (pts - self.sys.mid[l]) / self.sys.half[l]
             u = joukowski_exterior(s, side)
-            invu = 1.0 / u
             K = self.density[l].shape[2]
-            upows = np.empty((K, pts.size), dtype=complex)
-            upows[0] = invu
-            for k in range(1, K):
-                upows[k] = upows[k - 1] * invu
+            upows = np.cumprod(np.broadcast_to(1.0 / u, (K, pts.size)), axis=0)
             Cl = np.tensordot(self.density[l], upows, axes=([2], [0]))  # (n,n,P)
             out -= (0.5j * self.sys.half[l] / self.lam) * np.moveaxis(Cl, 2, 0)
         return out[0] if np.ndim(points) == 0 else out
@@ -215,10 +221,6 @@ class GammaSolution:
 
     def det(self, points, side=None):
         return np.linalg.det(self.eval(points, side))
-
-    def column_own(self, m, points):
-        """Column m of Gamma on its own interval I_m (side-free there)."""
-        return self.eval(points, side=ABOVE)[..., :, m]
 
     def gtinv(self, k, x):
         """(g^t Gamma^{-1})(x) for x in I_k; side-independent, real data real.
@@ -233,29 +235,31 @@ class GammaSolution:
     # -- validation helpers ---------------------------------------------------
 
     def jump_matrix(self, x):
-        """V(x) = Id - f(x) g^t(x) / lambda at a real point inside I."""
+        """V(x) = Id - f(x) g^t(x) / lambda at real points inside I.
+
+        Shape (n, n) for scalar x, else (len(x), n, n).
+        """
         f = self.kernel.f_vector(x)
         g = self.kernel.g_vector(x)
-        return np.eye(self.sys.n, dtype=complex) - np.outer(f, g) / self.lam
+        return np.eye(self.sys.n) - f[..., :, None] * g[..., None, :] / self.lam
 
     def jump_residual(self, points):
         """max over points of || Gamma_+ - Gamma_- V ||_max."""
-        worst = 0.0
-        for x in points:
-            gp = self.eval(float(x), side=ABOVE)
-            gm = self.eval(float(x), side=BELOW)
-            worst = max(worst, np.max(np.abs(gp - gm @ self.jump_matrix(float(x)))))
-        return worst
+        x = np.atleast_1d(np.asarray(points, dtype=float))
+        gp = self.eval(x, side=ABOVE)
+        gm = self.eval(x, side=BELOW)
+        return float(np.max(np.abs(gp - gm @ self.jump_matrix(x)), initial=0.0))
 
     # -- resolvent ------------------------------------------------------------
 
     def gamma_f(self, z, side=None):
-        """(Gamma f)(z) for real z in I; continuous across the cut."""
-        k = self.sys.locate(z)
-        if k < 0:
-            raise EndpointError("Gamma f needs a point inside the intervals")
-        col = self.eval(float(z), side=side if side is not None else ABOVE)[:, k]
-        return col * self.kernel.f_component(k, float(z))
+        """(Gamma f)(z) for real z in I; continuous across the cut.
+
+        Shape (n,) for scalar z, else (len(z), n).
+        """
+        f = self.kernel.f_vector(z)
+        gz = self.eval(z, side=side if side is not None else ABOVE)
+        return np.einsum("...ab,...b->...a", gz, f)
 
     def resolvent_kernel(self, z, x, limit=False):
         """R(z, x; lambda), finite for z != x and at coincidence if requested.
@@ -288,26 +292,30 @@ class GammaSolution:
         (Id + R)(Id - K/lambda) = Id on the grid.
         """
         ns = self.nystrom
-        nodes = np.concatenate(ns.grid.nodes)
+        xs = ns.grid.nodes
+        nodes = np.concatenate(xs)
         sw = np.concatenate(ns.grid.sqrt_weights)
-        wt = np.concatenate([self.sys.weight(l, ns.grid.nodes[l])
-                             for l in range(self.sys.n)])
-        total = nodes.size
-        which = np.concatenate([np.full(len(ns.grid.nodes[l]), l)
-                                for l in range(self.sys.n)])
-        A = np.stack([self.gtinv(which[q], nodes[q])[0] for q in range(total)])
-        GF = np.stack([self.gamma_f(nodes[q]) for q in range(total)])
-        out = np.empty((total, total), dtype=complex)
-        for i in range(total):
-            dz = nodes[i] - nodes
-            diff = (A - A[i]) @ GF[i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                row = diff / (2j * np.pi * self.lam * dz)
-            if np.any(dz == 0.0):
-                lim = self.resolvent_kernel(nodes[i], nodes[i], limit=True)
-                row[dz == 0.0] = lim
-            out[i] = row * sw / wt[i]
-        return out
+        wt = np.concatenate([self.sys.weight(l, x) for l, x in enumerate(xs)])
+        d = np.concatenate([np.full(len(x), 1e-6 * self.sys.half[l])
+                            for l, x in enumerate(xs)])
+
+        def at(z):
+            """A = g^t Gamma^{-1} and Gamma f at points z placed like the nodes."""
+            A = np.concatenate([self.gtinv(l, zl) for l, zl in enumerate(ns.split(z))])
+            return A, self.gamma_f(z)
+
+        A, GF = at(nodes)
+        # the coincidence limit averages R(z + d, z) and R(z - d, z) with
+        # d = 1e-6 half, as resolvent_kernel(limit=True) does
+        (Ap, GFp), (Am, GFm) = at(nodes + d), at(nodes - d)
+        scale = 2j * np.pi * self.lam
+        dz = nodes[:, None] - nodes[None, :]
+        np.fill_diagonal(dz, 1.0)
+        # row i: (A(x_q) - A(z_i)) . (Gamma f)(z_i) / (2 pi i lambda (z_i - x_q))
+        out = (GF @ A.T - np.sum(A * GF, axis=1)[:, None]) / (scale * dz)
+        lim = 0.5 * np.sum((A - Ap) * GFp - (A - Am) * GFm, axis=1) / (scale * d)
+        np.fill_diagonal(out, lim)
+        return out * sw[None, :] / wt[:, None]
 
     def apply_resolvent(self, nu: PiecewiseFunction, nmodes=None):
         """hat R nu as a sqrt-vanishing PiecewiseFunction.
@@ -438,8 +446,7 @@ def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolu
     grid = chebyshev2_grid(sys, order)
 
     def rad(m, x):
-        s = (x - sys.mid[m]) / sys.half[m]
-        return sys.half[m] * np.sign(s) * np.sqrt(s * s - 1.0)
+        return radical_eval(sys, m, x).real
 
     out = np.zeros(2, dtype=complex)
     for (m, k) in ((0, 1), (1, 0)):
@@ -511,8 +518,7 @@ def range_check_L1_variant(psi: PiecewiseFunction, gamma: GammaSolution,
         for a in range(n):
             if a == k:
                 continue
-            s = (x - sys.mid[a]) / sys.half[a]
-            rads[a] = sys.half[a] * np.sign(s) * np.sqrt(s * s - 1.0)
+            rads[a] = radical_eval(sys, a, x).real
         qk = theta[k, k] * nu.piece_smooth(k, x)  # H^{-1}[psi_k - c_k] smooth part
         for m in range(n):
             chain = np.zeros(x.size, dtype=complex)

@@ -72,17 +72,6 @@ class IntervalSystem:
                 return j
         return -1
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = np.zeros(x.shape, dtype=bool)
-        for j in range(self.n):
-            inside |= (self.alpha[j] < x) & (x < self.beta[j])
-        return inside
-
-    def gap_to(self, j, x):
-        """Distance from real x to interval j (0 inside)."""
-        return max(self.alpha[j] - x, 0.0, x - self.beta[j])
-
     def weight(self, j, x):
         """sqrt((x - alpha_j)(beta_j - x)) for x in I_j (the sqrt weight)."""
         x = np.asarray(x, dtype=float)
@@ -141,20 +130,6 @@ def radical_eval(sys: IntervalSystem, j, z, side=None):
             raise DomainError("side required for z inside the cut of R_j")
     val = sys.half[j] * unit_radical(s, side)
     return val
-
-
-def radical_row(sys: IntervalSystem, x):
-    """All R_j(x), j = 1..n, at real points x lying inside the system.
-
-    Points must avoid the cut of every R_j they are evaluated off of; on the
-    interval that owns them the '+' boundary value is returned.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((sys.n, x.size), dtype=complex)
-    for j in range(sys.n):
-        s = sys.to_unit(j, x)
-        out[j] = sys.half[j] * unit_radical(s, ABOVE)
-    return out
 
 
 def multi_radical_sqrt(sys: IntervalSystem, x, z):

@@ -474,18 +474,13 @@ def _cmd_gamma_check(spec, sys, theta):
 
 
 def _nojump_residuals(gam, pts):
-    worst_f, worst_g = 0.0, 0.0
-    for x in pts:
-        x = float(x)
-        k = gam.sys.locate(x)
-        gp = gam.eval(x, side=+1)
-        gm = gam.eval(x, side=-1)
-        fv = gam.kernel.f_vector(x)
-        gv = gam.kernel.g_vector(x)
-        worst_f = max(worst_f, float(np.max(np.abs((gp - gm) @ fv))))
-        worst_g = max(worst_g, float(np.max(np.abs(
-            gv @ (np.linalg.inv(gp) - np.linalg.inv(gm))))))
-    return worst_f, worst_g
+    """max |(Gamma_+ - Gamma_-) f| and max |g^t (Gamma_+^{-1} - Gamma_-^{-1})|."""
+    gp, gm = gam.eval(pts, side=+1), gam.eval(pts, side=-1)
+    fv, gv = gam.kernel.f_vector(pts), gam.kernel.g_vector(pts)
+    df = np.einsum("pab,pb->pa", gp - gm, fv)
+    dg = np.einsum("pa,pab->pb", gv, np.linalg.inv(gp) - np.linalg.inv(gm))
+    return (float(np.max(np.abs(df), initial=0.0)),
+            float(np.max(np.abs(dg), initial=0.0)))
 
 
 def _cmd_uniform_invert(spec, sys, theta):

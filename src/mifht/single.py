@@ -241,11 +241,7 @@ def invert_with_kappa(g: PiecewiseFunction, points, j=0, kappa=None, presub=0.0)
 def _t_to_u(b):
     """U coefficients of the polynomial sum b_n T_n."""
     # T_0 = U_0, T_1 = U_1/2, T_n = (U_n - U_{n-2}) / 2
-    a = np.zeros(b.shape[0], dtype=complex)
-    a[0] += b[0]
-    if b.shape[0] > 1:
-        a[1] += 0.5 * b[1]
-    for nn in range(2, b.shape[0]):
-        a[nn] += 0.5 * b[nn]
-        a[nn - 2] -= 0.5 * b[nn]
+    a = 0.5 * np.asarray(b, dtype=complex)
+    a[0] = b[0]
+    a[:-2] -= 0.5 * b[2:]
     return a

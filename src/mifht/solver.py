@@ -30,7 +30,7 @@ from .errors import (
     RangeError,
     ZeroLambdaError,
 )
-from .intervals import IntervalSystem
+from .intervals import IntervalSystem, radical_eval
 from .quadrature import QuadratureGrid, chebyshev2_grid, legendre_grid
 from .single import _invert_coeffs, fht_forward, range_scan
 
@@ -226,13 +226,11 @@ def assemble_K(sys: IntervalSystem, theta, grid=None, lam=1.0, size=96) -> Nystr
     allnodes = np.concatenate(grid.nodes)
     rad_nodes = np.empty((sys.n, total))
     for j in range(sys.n):
-        s = (allnodes - sys.mid[j]) / sys.half[j]
         own = slice(offsets[j], offsets[j + 1])
-        outside = (s >= 1.0) | (s <= -1.0)
-        val = np.zeros(total)
-        val[outside] = sys.half[j] * np.sign(s[outside]) * np.sqrt(s[outside] ** 2 - 1.0)
-        val[own] = sys.weight(j, allnodes[own])  # |R_{j+}| on the own cut
-        rad_nodes[j] = val
+        outside = np.ones(total, dtype=bool)
+        outside[own] = False
+        rad_nodes[j, outside] = radical_eval(sys, j, allnodes[outside]).real
+        rad_nodes[j, own] = sys.weight(j, allnodes[own])  # |R_{j+}| on the own cut
 
     kern = np.zeros((total, total))
     for j in range(sys.n):
@@ -400,8 +398,7 @@ def _range2_moments(theta, phi: PiecewiseFunction, order=None):
                 continue
 
             def inv_rad(x, m=m):
-                s = (x - sys.mid[m]) / sys.half[m]
-                return 1.0 / (sys.half[m] * np.sign(s) * np.sqrt(s * s - 1.0))
+                return 1.0 / radical_eval(sys, m, x).real
 
             out[m] += theta[m, k] * _piece_integral(phi, k, inv_rad, order=order)
     return out / np.pi

@@ -67,12 +67,31 @@ def test_u_coeffs_round_trip():
     np.testing.assert_allclose(chebU_coeffs(vals), a, atol=1e-13)
 
 
+@pytest.mark.parametrize("N", [1, 2, 8, 257, 1024])
+def test_coefficient_maps_match_direct_sums(N):
+    # b_n = (2/N) sum_q v_q cos(n t_q), b_0 halved, and
+    # a_k = (2/(N+1)) sum_q v_q sin(t_q) sin((k+1) t_q), with t_q the node
+    # angles in descending-node order; two stacked rows, one complex
+    rng = np.random.default_rng(N)
+    v = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N)) * [[0], [1]]
+    t1 = np.pi * (np.arange(N) + 0.5) / N
+    b = (2.0 / N) * (v[:, ::-1] @ np.cos(np.outer(np.arange(N), t1)).T)
+    b[:, 0] *= 0.5
+    t2 = np.pi * np.arange(1, N + 1) / (N + 1)
+    a = (2.0 / (N + 1)) * ((v[:, ::-1] * np.sin(t2))
+                           @ np.sin(np.outer(np.arange(1, N + 1), t2)).T)
+    assert np.max(np.abs(chebT_coeffs(v) - b)) <= 1e-12 * np.max(np.abs(b))
+    assert np.max(np.abs(chebU_coeffs(v) - a)) <= 1e-12 * np.max(np.abs(a))
+    assert np.isrealobj(chebT_coeffs(v[0].real)) and np.isrealobj(chebU_coeffs(v[0].real))
+
+
 def test_u_to_t_conversion():
     rng = np.random.default_rng(3)
-    a = rng.standard_normal(7)
     s = np.linspace(-1, 1, 41)
-    np.testing.assert_allclose(clenshaw_T(chebU_to_T(a), s), clenshaw_U(a, s),
-                               atol=1e-13)
+    for n in (7, 1, 2, 40):
+        a = rng.standard_normal(n)
+        np.testing.assert_allclose(clenshaw_T(chebU_to_T(a), s), clenshaw_U(a, s),
+                                   atol=1e-13)
 
 
 def test_integrals():
@@ -86,6 +105,11 @@ def test_integrals():
     assert chebU_integral(np.array([0, 0, 1.0])) == pytest.approx(2.0 / 3)
     # int s U_1 ds = int (U_2 + U_0)/2 = 4/3 over the pair
     assert chebU_first_moment(np.array([0, 1.0])) == pytest.approx(4.0 / 3)
+    # against Gauss-Legendre quadrature of s * sum a_k U_k for a long series
+    a = np.random.default_rng(5).standard_normal(30)
+    x, w = np.polynomial.legendre.leggauss(40)
+    assert chebU_first_moment(a) == pytest.approx(np.sum(w * x * clenshaw_U(a, x)),
+                                                  abs=1e-12)
 
 
 def test_weighted_pv_matches_closed_form():

@@ -23,6 +23,7 @@ from mifht.gamma import (
     resolvent_kernel,
     verify_jump,
 )
+from mifht.problems import _nojump_residuals
 from mifht.solver import (
     ThetaMatrix,
     assemble_K,
@@ -86,6 +87,30 @@ def test_kernel_matches_nystrom_kernel(sys2, theta2):
     sw = ns.grid.sqrt_weights[1][5]
     wz = sys2.weight(0, z)
     assert entry == pytest.approx(float(np.real(kval)) * sw / wz, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_vectors_batched_match_pointwise(request, n):
+    sys = request.getfixturevalue(f"sys{n}")
+    kd = build_kernel_vectors(sys, request.getfixturevalue(f"theta{n}"))
+    pts = interior_points(sys, 9)
+    F, G = kd.f_vector(pts), kd.g_vector(pts)
+    assert F.shape == G.shape == (pts.size, n)
+    for p, x in enumerate(pts):
+        k = sys.locate(x)
+        f = np.zeros(n, dtype=complex)
+        f[k] = kd.f_component(k, x)
+        g = kd.g_matrix(k, [x])[:, 0]
+        assert np.max(np.abs(F[p] - f)) <= 1e-14 * np.max(np.abs(f))
+        assert np.max(np.abs(G[p] - g)) <= 1e-14 * np.max(np.abs(g))
+        np.testing.assert_array_equal(kd.f_vector(float(x)), F[p])
+        np.testing.assert_array_equal(kd.g_vector(float(x)), G[p])
+    gap = 0.5 * (sys.beta[0] + sys.alpha[1])
+    for bad in (np.array([pts[0], gap]), sys.alpha[0], np.array([sys.beta[-1]])):
+        with pytest.raises(EndpointError):
+            kd.f_vector(bad)
+        with pytest.raises(EndpointError):
+            kd.g_vector(bad)
 
 
 # -- F and the diagonal reduction ------------------------------------------------
@@ -173,6 +198,32 @@ def test_gamma_no_jump_combinations(gamma2, sys2):
         worst_g = max(worst_g, np.max(np.abs(
             gv @ (np.linalg.inv(gp) - np.linalg.inv(gm)))))
     assert worst_f <= 1e-8 and worst_g <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [1.0, 2.0 + 1.0j])
+def test_batched_gamma_checks_match_pointwise(request, n, lam):
+    sys = request.getfixturevalue(f"sys{n}")
+    gam = build_gamma(sys, request.getfixturevalue(f"theta{n}"), lam=lam, size=48)
+    kd = gam.kernel
+    pts = interior_points(sys, 9)
+    jump = nojump_f = nojump_g = 0.0
+    for x in pts:
+        k = sys.locate(x)
+        f = np.zeros(n, dtype=complex)
+        f[k] = kd.f_component(k, x)
+        g = kd.g_matrix(k, [x])[:, 0]
+        gp = gam.eval(float(x), side=+1)
+        gm = gam.eval(float(x), side=-1)
+        jump = max(jump, np.max(np.abs(gp - gm @ (np.eye(n) - np.outer(f, g) / lam))))
+        nojump_f = max(nojump_f, np.max(np.abs((gp - gm) @ f)))
+        nojump_g = max(nojump_g, np.max(np.abs(
+            g @ (np.linalg.inv(gp) - np.linalg.inv(gm)))))
+    assert abs(gam.jump_residual(pts) - jump) <= 1e-14
+    got_f, got_g = _nojump_residuals(gam, pts)
+    assert abs(got_f - nojump_f) <= 1e-14
+    assert abs(got_g - nojump_g) <= 1e-14
+    assert max(jump, nojump_f, nojump_g) <= 1e-8
 
 
 def test_gamma_own_column_no_jump(gamma2, sys2):
@@ -284,6 +335,26 @@ def test_resolvent_identity_on_grid(sys2, theta2):
     R = gam.resolvent_matrix()
     ident = (np.eye(gam.nystrom.size) + R) @ gam.nystrom.matrix
     assert np.max(np.abs(ident - np.eye(gam.nystrom.size))) <= 1e-8
+
+
+def test_resolvent_matrix_entries_match_resolvent_kernel(sys2, theta2):
+    gam = build_gamma(sys2, theta2, size=48)
+    R = gam.resolvent_matrix()
+    ns = gam.nystrom
+    nodes = np.concatenate(ns.grid.nodes)
+    sw = np.concatenate(ns.grid.sqrt_weights)
+    wt = np.concatenate([sys2.weight(l, x) for l, x in enumerate(ns.grid.nodes)])
+    rng = np.random.default_rng(8)
+    for i, q in rng.integers(0, nodes.size, (40, 2)):
+        if i == q:
+            continue
+        expect = gam.resolvent_kernel(nodes[i], nodes[q]) * sw[q] / wt[i]
+        assert abs(R[i, q] - expect) <= 1e-10 * abs(expect)
+    # the coincidence diagonal is a +-1e-6 half finite difference: its
+    # rounding error is ~eps / 1e-6 relative, whatever the evaluation order
+    for i in (0, 17, nodes.size - 1):
+        lim = gam.resolvent_kernel(nodes[i], nodes[i], limit=True) * sw[i] / wt[i]
+        assert abs(R[i, i] - lim) <= 1e-7 * abs(lim)
 
 
 def test_resolvent_kernel_function_wrapper(gamma2, sys2):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mifht.gamma
 import mifht.uniform
 from mifht import DegenerateDiagonalError, RangeViolationError, SchemaError
 from mifht.cli import main as cli_main
@@ -172,6 +173,24 @@ def test_uniform_invert_transforms_each_function_once(monkeypatch):
         run_command(parse_problem(UNIFORM_IN_RANGE.replace(
             "forward-of random-sqrt 8", "gaussian-bump")))
     assert len(calls) == 1
+
+
+def test_gamma_check_evaluates_gamma_in_batches(monkeypatch):
+    """One eval each for the far field and det, two each for jump and no-jump."""
+    calls = []
+    evaluate = mifht.gamma.GammaSolution.eval
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(mifht.gamma.GammaSolution, "eval", counted)
+    bundle = run_command(parse_problem(
+        "command = gamma-check\nintervals = (-2,-1) (1,2)\n"
+        "theta = [[1,0.5],[0.5,1]]\nnystrom = 48\n"))
+    for key in ("jump_residual", "det_drift", "nojump_gamma_f", "nojump_gt_gamma_inv"):
+        assert bundle.diagnostics[key]["pass"] is True
+    assert len(calls) <= 6
 
 
 def test_serialization_round_trip(tmp_path):
