@@ -10,7 +10,7 @@ intervals, unit determinant, identity normalization at infinity (with its
 
 import numpy as np
 
-from mifht import ThetaMatrix, build_gamma, make_interval_system, verify_jump
+from mifht import ThetaMatrix, build_gamma, make_interval_system
 
 sys2 = make_interval_system([(-2.0, -1.0), (1.0, 2.0)])
 theta = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
@@ -18,7 +18,7 @@ gamma = build_gamma(sys2, theta, lam=1.0, size=96)
 
 pts = np.concatenate([sys2.from_unit(j, np.linspace(-0.9, 0.9, 20))
                       for j in range(2)])
-print(f"jump residual  max|Gamma_+ - Gamma_- V| = {verify_jump(gamma, pts):.2e}")
+print(f"jump residual  max|Gamma_+ - Gamma_- V| = {gamma.jump_residual(pts):.2e}")
 print(f"det drift      max|det Gamma - 1|       = "
       f"{np.max(np.abs(gamma.det(pts, side=1) - 1)):.2e}")
 

@@ -61,13 +61,10 @@ from .gamma import (
     build_gamma,
     build_kernel_vectors,
     compute_F,
-    gamma_eval,
     invert_via_resolvent,
     range_check_L1_variant,
     range_condition_J12,
     range_condition_N2,
-    resolvent_kernel,
-    verify_jump,
 )
 from .uniform import (
     ChannelVector,

@@ -30,7 +30,6 @@ from . import chebyshev as cheb
 from .chebyshev import PiecewiseFunction
 from .errors import (
     CoincidenceError,
-    DegenerateDiagonalError,
     EndpointError,
     NearSingularError,
     SymmetryError,
@@ -39,7 +38,6 @@ from .intervals import ABOVE, BELOW, IntervalSystem, joukowski_exterior, radical
 from .quadrature import chebyshev2_grid
 from .solver import (
     NystromSystem,
-    ThetaMatrix,
     as_theta,
     assemble_K,
     compute_c,
@@ -366,20 +364,6 @@ def build_gamma(sys: IntervalSystem, theta, lam=1.0, size=96, nmodes=None
     return GammaSolution(ns, kd, nmodes=nmodes)
 
 
-def gamma_eval(gamma: GammaSolution, z, side=None):
-    """Gamma(z; lambda) as an n x n matrix (module-level convenience)."""
-    return gamma.eval(z, side=side)
-
-
-def verify_jump(gamma: GammaSolution, points):
-    """Max residual of Gamma_+ = Gamma_- V over interior points."""
-    return gamma.jump_residual(points)
-
-
-def resolvent_kernel(gamma: GammaSolution, kernel, z, x, limit=False):
-    return gamma.resolvent_kernel(z, x, limit=limit)
-
-
 def invert_via_resolvent(theta, psi: PiecewiseFunction, size=96, nmodes=None,
                          gamma: GammaSolution = None):
     """phi = nu + hat R(1) nu through the resolvent representation.
@@ -467,7 +451,7 @@ def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolu
 
 
 def range_condition_J12(theta, nu: PiecewiseFunction, gamma: GammaSolution,
-                        kernel=None, order=None, nmodes=None):
+                        nmodes=None):
     """Predicted c for general invertible-diagonal theta: c = J_1 + J_2.
 
     J_1 is the direct moment of nu; J_2 carries the resolvent correction.

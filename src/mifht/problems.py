@@ -44,13 +44,11 @@ from .single import range_scan
 from .solver import (
     SPD,
     ThetaMatrix,
-    bilinear_form_J,
     compute_c,
     compute_nu,
     forward_map,
     injectivity_report,
     random_sqrt_vanishing,
-    residual_range2,
     solve_phi,
 )
 from .uniform import (

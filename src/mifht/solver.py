@@ -30,7 +30,7 @@ from .errors import (
     RangeError,
     ZeroLambdaError,
 )
-from .intervals import IntervalSystem, radical_eval
+from .intervals import IntervalSystem, joukowski_exterior, radical_eval, unit_radical
 from .quadrature import QuadratureGrid, chebyshev2_grid, legendre_grid
 from .single import _invert_coeffs, fht_forward, range_scan
 
@@ -373,21 +373,20 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None,
     return SolveResult(phi=phi, c=c, nu=nu, nystrom=ns, diagnostics=diag)
 
 
-def _piece_integral(pf: PiecewiseFunction, k, fn, order=None):
+def _piece_integral(pf: PiecewiseFunction, k, fn):
     """int_{I_k} pf_k(y) fn(y) dy with the weight-appropriate Gauss rule."""
     sys = pf.sys
-    if order is None:
-        order = max(2 * pf.coeffs[k].shape[0], 64)
+    size = max(2 * pf.coeffs[k].shape[0], 64)
     if pf.weighted:
-        grid = chebyshev2_grid(sys, order)
+        grid = chebyshev2_grid(sys, size)
         x = grid.nodes[k]
         return np.sum(grid.sqrt_weights[k] * pf.piece_smooth(k, x) * fn(x))
-    grid = legendre_grid(sys, order)
+    grid = legendre_grid(sys, size)
     x = grid.nodes[k]
     return np.sum(grid.weights[k] * pf.piece_values(k, x) * fn(x))
 
 
-def _range2_moments(theta, phi: PiecewiseFunction, order=None):
+def _range2_moments(theta, phi: PiecewiseFunction):
     """(1/pi) sum_{k != m} theta_mk int_{I_k} phi_k / R_m dy, per m."""
     theta = as_theta(theta)
     sys = phi.sys
@@ -400,7 +399,7 @@ def _range2_moments(theta, phi: PiecewiseFunction, order=None):
             def inv_rad(x, m=m):
                 return 1.0 / radical_eval(sys, m, x).real
 
-            out[m] += theta[m, k] * _piece_integral(phi, k, inv_rad, order=order)
+            out[m] += theta[m, k] * _piece_integral(phi, k, inv_rad)
     return out / np.pi
 
 
@@ -417,81 +416,89 @@ def residual_range2(theta, phi: PiecewiseFunction, c):
 
 
 # ---------------------------------------------------------------------------
-# the Fourier-side bilinear form and injectivity diagnostics
+# the bilinear form J and injectivity diagnostics
 
 
-def _ft_nodes(pf: PiecewiseFunction, j, order):
-    """Quadrature nodes x, weights W with int f e^{i x xi} dx = sum W v e^{i x xi}."""
-    sys = pf.sys
-    if pf.weighted:
-        grid = chebyshev2_grid(sys, order)
-        return grid.nodes[j], grid.sqrt_weights[j], pf.piece_smooth(j, grid.nodes[j])
-    grid = legendre_grid(sys, order)
-    return grid.nodes[j], grid.weights[j], pf.piece_values(j, grid.nodes[j])
+def _cross_nodes(sys: IntervalSystem, j, k, modes):
+    """Gauss-Chebyshev-2 size on I_j that resolves (H_k f_k)' times a smooth part.
 
-
-def _fourier_pieces(pfs, xi, order):
-    """f~_j(xi) = int_{I_j} f e^{i x xi} dx for a batch of functions.
-
-    Returns array (len(pfs), n, len(xi)); the oscillatory phase matrices are
-    built once per interval and shared across the batch.
+    (H_k f_k)' is analytic off I_k, so on I_j it is analytic inside the
+    Bernstein ellipse through the nearest endpoint of I_k, whose parameter
+    is rho = |u_j| there; N nodes leave an error near rho^(-2N) once the
+    ``modes`` of the paired smooth part are spent.
     """
-    sys = pfs[0].sys
-    out = np.zeros((len(pfs), sys.n, xi.size), dtype=complex)
-    chunk = 2048
-    for j in range(sys.n):
-        data = [_ft_nodes(pf, j, order) for pf in pfs]
-        x = data[0][0]
-        wv = np.stack([W * v for (_, W, v) in data])  # (batch, nodes)
-        for lo in range(0, xi.size, chunk):
-            hi = min(lo + chunk, xi.size)
-            phase = np.exp(1j * np.outer(x, xi[lo:hi]))
-            out[:, j, lo:hi] = wv @ phase
-    return out
+    edge = sys.alpha[k] if k > j else sys.beta[k]
+    rho = abs(joukowski_exterior(sys.to_unit(j, edge)))
+    digits = -np.log(np.finfo(float).eps) / np.log(rho)
+    return int(np.ceil(0.5 * (digits + modes))) + 2
 
 
-def bilinear_form_J(theta, f: PiecewiseFunction, g=None, xi_max=200.0,
-                    n_xi=2 ** 14, order=320):
+def _j_form(theta, fs, gs):
+    """J(f_p, g_p) for each pair, from the weighted-U coefficients.
+
+    J(f, g) = -sum_jk theta_jk int_{I_j} conj(g_j) (H_k f_k)' dx, the
+    Dirichlet form of (1/2pi) sum_jk theta_jk int |xi| f~_k conj(g~_j) dxi.
+    With f_k = w_k sum_n a_n U_n and g_j = w_j sum_m b_m U_m on the unit
+    variable s of each interval:
+
+    * j == k: (H_k f_k)' = -sum_n (n+1) a_n U_n(s) on the cut
+      (d/ds T_{n+1} = (n+1) U_n), so U-orthogonality leaves exactly
+      theta_kk (pi h_k^2 / 2) sum_n (n+1) a_n conj(b_n);
+    * j != k: (H_k f_k)'(x) = sum_n (n+1) a_n u_k^{-(n+1)} / sqrt(s_k^2 - 1),
+      smooth on I_j, integrated against g_j by Gauss-Chebyshev-2.
+    """
+    theta = as_theta(theta)
+    sys = fs[0].sys
+    if not all(pf.weighted for pf in (*fs, *gs)):
+        raise ValueError("J is defined here for sqrt-vanishing (weighted) functions")
+
+    def stacked(pfs, j):  # (pairs, modes) zero-padded coefficients on I_j
+        out = np.zeros((len(pfs), max(pf.coeffs[j].shape[0] for pf in pfs)),
+                       dtype=np.result_type(*(pf.coeffs[j] for pf in pfs)))
+        for p, pf in enumerate(pfs):
+            out[p, : pf.coeffs[j].shape[0]] = pf.coeffs[j]
+        return out
+
+    out = np.zeros(len(fs), dtype=complex)
+    for k in range(sys.n):
+        da = stacked(fs, k)
+        da = da * np.arange(1, da.shape[1] + 1)  # (n+1) a_n
+        for j in range(sys.n):
+            if theta[j, k] == 0.0:
+                continue
+            b = stacked(gs, j)
+            if j == k:
+                m = min(da.shape[1], b.shape[1])
+                out += theta[k, k] * 0.5 * np.pi * sys.half[k] ** 2 * np.sum(
+                    da[:, :m] * np.conj(b[:, :m]), axis=1)
+                continue
+            grid = chebyshev2_grid(sys, _cross_nodes(sys, j, k, b.shape[1]))
+            x = grid.nodes[j]
+            s = sys.to_unit(k, x)
+            # the series helpers broadcast one coefficient row per pair
+            on_pairs = (len(fs), x.size)
+            deriv = -cheb.fht_weighted_offcut(
+                da.T[:, :, None], np.broadcast_to(joukowski_exterior(s), on_pairs)
+            ) / unit_radical(s)
+            g = cheb.clenshaw_U(b.T[:, :, None],
+                                np.broadcast_to(sys.to_unit(j, x), on_pairs))
+            out -= theta[j, k] * (np.conj(g) * deriv) @ grid.sqrt_weights[j]
+    return np.real(out)
+
+
+def bilinear_form_J(theta, f: PiecewiseFunction, g=None):
     """J(f, g) = (1/2pi) sum_jk theta_jk int |xi| f~_k(xi) conj(g~_j(xi)) dxi.
 
-    Fourier convention f~(xi) = int f(x) e^{i x xi} dx; the frequency grid
-    is a symmetric trapezoid rule truncated at xi_max (sqrt-vanishing data
-    decay like |xi|^{-3/2}, so the truncated tail is O(1/xi_max)).
+    Fourier convention f~(xi) = int f(x) e^{i x xi} dx; evaluated exactly
+    in coefficient space, see ``_j_form``.
     """
-    theta = as_theta(theta)
-    xi = np.linspace(-xi_max, xi_max, n_xi)
-    dxi = xi[1] - xi[0]
-    pfs = [f] if g is None or g is f else [f, g]
-    ft = _fourier_pieces(pfs, xi, order)
-    ff = ft[0]
-    gg = ft[-1]
-    wts = np.full(n_xi, dxi)
-    wts[0] = wts[-1] = 0.5 * dxi
-    acc = 0.0
-    for j in range(theta.n):
-        for k in range(theta.n):
-            if theta[j, k] == 0.0:
-                continue
-            acc += theta[j, k] * np.sum(np.abs(xi) * ff[k] * np.conj(gg[j]) * wts)
-    return float(np.real(acc)) / (2.0 * np.pi)
+    return float(_j_form(theta, [f], [f if g is None else g])[0])
 
 
-def bilinear_form_J_many(theta, fs, xi_max=200.0, n_xi=2 ** 14, order=320):
-    """J(f, f) for each f in fs, sharing the Fourier phase matrices."""
-    theta = as_theta(theta)
-    xi = np.linspace(-xi_max, xi_max, n_xi)
-    dxi = xi[1] - xi[0]
-    ft = _fourier_pieces(list(fs), xi, order)
-    wts = np.full(n_xi, dxi)
-    wts[0] = wts[-1] = 0.5 * dxi
-    out = np.zeros(len(fs))
-    for j in range(theta.n):
-        for k in range(theta.n):
-            if theta[j, k] == 0.0:
-                continue
-            out += theta[j, k] * np.real(
-                np.sum(np.abs(xi) * ft[:, k] * np.conj(ft[:, j]) * wts, axis=1))
-    return out / (2.0 * np.pi)
+def bilinear_form_J_many(theta, fs):
+    """J(f, f) for each f in fs."""
+    fs = list(fs)
+    return _j_form(theta, fs, fs)
 
 
 def random_sqrt_vanishing(sys: IntervalSystem, modes=24, seed=0, decay=0.7,
@@ -517,7 +524,7 @@ def injectivity_report(theta, sys: IntervalSystem, size=96, n_samples=20,
     sigma_min, sigma_max, _ = extreme_singular_values(ns)
     rng = np.random.default_rng(seed)
     fs = [random_sqrt_vanishing(sys, modes=modes, rng=rng) for _ in range(n_samples)]
-    jvals = bilinear_form_J_many(theta, fs, n_xi=2 ** 12)
+    jvals = bilinear_form_J_many(theta, fs)
     norms = np.array([f.norm2() ** 2 for f in fs])
     return {
         "sigma_min": sigma_min,

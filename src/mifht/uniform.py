@@ -8,7 +8,7 @@ ratio of the endpoint polynomials
     phi(x) = log |p_b(x) / p_a(x)|,  phi'(x) = Q(x) / (p_a(x) p_b(x)),
 
 phi decreases from +inf to -inf on each interval, so x = phi_k^{-1}(2t)
-turns每 interval into a copy of the real line.  The substitution
+turns each interval into a copy of the real line.  The substitution
 
     (T f)_k(t) = sqrt(2) sgn(p_a(x)) f(x) / sqrt(|phi'(x)|),  x = phi_k^{-1}(2t)
 

@@ -14,14 +14,11 @@ from mifht.gamma import (
     build_gamma,
     build_kernel_vectors,
     compute_F,
-    gamma_eval,
     invert_via_resolvent,
     range_check_L1_variant,
     range_condition_J12,
     range_condition_N2,
     range_condition_two_intervals,
-    resolvent_kernel,
-    verify_jump,
 )
 from mifht.problems import _nojump_residuals
 from mifht.solver import (
@@ -158,7 +155,7 @@ def test_gamma_diagonal_theta_is_identity(sys2):
 
 def test_gamma_jump_condition(gamma2, sys2):
     pts = interior_points(sys2, 20)
-    assert verify_jump(gamma2, pts) <= 1e-7
+    assert gamma2.jump_residual(pts) <= 1e-7
 
 
 def test_gamma_det_one(gamma2, sys2):
@@ -287,10 +284,6 @@ def test_gamma_endpoint_continuity(sys2, theta2):
     assert 2.0 / 3.0 <= d1 / d2 <= 6.0
 
 
-def test_gamma_eval_module_function(gamma2):
-    np.testing.assert_allclose(gamma_eval(gamma2, 1e6), np.eye(2), atol=1e-5)
-
-
 # -- resolvent -------------------------------------------------------------------
 
 
@@ -355,13 +348,6 @@ def test_resolvent_matrix_entries_match_resolvent_kernel(sys2, theta2):
     for i in (0, 17, nodes.size - 1):
         lim = gam.resolvent_kernel(nodes[i], nodes[i], limit=True) * sw[i] / wt[i]
         assert abs(R[i, i] - lim) <= 1e-7 * abs(lim)
-
-
-def test_resolvent_kernel_function_wrapper(gamma2, sys2):
-    z = float(sys2.from_unit(0, 0.1))
-    x = float(sys2.from_unit(1, 0.2))
-    assert resolvent_kernel(gamma2, gamma2.kernel, z, x) == pytest.approx(
-        gamma2.resolvent_kernel(z, x))
 
 
 # -- inversion via the resolvent --------------------------------------------------
@@ -492,7 +478,7 @@ def test_jump_equals_density(gamma2, sys2):
 def test_verify_jump_vanishes_for_large_lambda(sys2, theta2):
     gam = build_gamma(sys2, theta2, lam=1e8, size=24)
     pts = interior_points(sys2, 6)
-    assert verify_jump(gam, pts) <= 1e-7
+    assert gam.jump_residual(pts) <= 1e-7
 
 
 def test_compute_nu_propagates_range_error(sys2, theta2):
@@ -508,7 +494,7 @@ def test_gamma_complex_lambda(sys2, theta2):
     # the lambda-parametrized construction away from the real axis
     gam = build_gamma(sys2, theta2, lam=2.0 + 1.0j, size=48)
     pts = interior_points(sys2, 8)
-    assert verify_jump(gam, pts) <= 1e-12
+    assert gam.jump_residual(pts) <= 1e-12
     assert np.max(np.abs(gam.det(pts, side=1) - 1.0)) <= 1e-12
     R = gam.resolvent_matrix()
     ident = (np.eye(gam.nystrom.size) + R) @ gam.nystrom.matrix

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from mifht import (
     DegenerateDiagonalError,
@@ -11,6 +12,7 @@ from mifht import (
     fht_invert,
     make_interval_system,
 )
+from mifht import solver
 from mifht.solver import (
     DEGENERATE,
     INVERTIBLE_DIAGONAL,
@@ -322,21 +324,25 @@ def test_residual_range2_on_solution(sys2, theta2):
 
 def test_J_zero_function(sys2, theta2):
     z = PiecewiseFunction.zeros(sys2, 6, weighted=True)
-    assert bilinear_form_J(theta2, z, n_xi=2 ** 10) == pytest.approx(0.0, abs=1e-14)
+    assert bilinear_form_J(theta2, z) == 0.0
+    with pytest.raises(ValueError):  # J of a non-vanishing function diverges
+        bilinear_form_J(theta2, PiecewiseFunction.zeros(sys2, 6))
 
 
 def test_J_symmetry(sys2, theta2):
     f = random_sqrt_vanishing(sys2, modes=10, seed=10)
     g = random_sqrt_vanishing(sys2, modes=10, seed=11)
-    jfg = bilinear_form_J(theta2, f, g, n_xi=2 ** 12)
-    jgf = bilinear_form_J(theta2, g, f, n_xi=2 ** 12)
-    assert abs(jfg - jgf) <= 1e-8 * (1 + abs(jfg))
+    jfg = bilinear_form_J(theta2, f, g)
+    jgf = bilinear_form_J(theta2, g, f)
+    assert abs(jfg - jgf) <= 1e-12
 
 
 def test_J_positive_definite(sys2, theta2):
     fs = [random_sqrt_vanishing(sys2, modes=12, seed=s) for s in range(12, 22)]
-    vals = bilinear_form_J_many(theta2, fs, n_xi=2 ** 12)
+    vals = bilinear_form_J_many(theta2, fs)
     assert np.all(vals > 0)
+    np.testing.assert_allclose(vals, [bilinear_form_J(theta2, f) for f in fs],
+                               rtol=1e-14)
 
 
 def test_J_dominates_identity_form(sys2):
@@ -346,8 +352,53 @@ def test_J_dominates_identity_form(sys2):
     eye = ThetaMatrix(np.eye(2))
     for seed in (22, 23, 24):
         f = random_sqrt_vanishing(sys2, modes=10, seed=seed)
-        assert bilinear_form_J(th, f, n_xi=2 ** 12) >= lam_min * bilinear_form_J(
-            eye, f, n_xi=2 ** 12) - 1e-12
+        assert bilinear_form_J(th, f) >= lam_min * bilinear_form_J(eye, f) - 1e-12
+
+
+def _fourier_J(theta, f, g, xi_max, dxi=0.1):
+    """Truncated Fourier form (1/2pi) sum theta_jk int |xi| f~_k conj(g~_j).
+
+    Independent of the coefficient-space J: the transforms come from
+    int_{-1}^{1} sqrt(1 - s^2) U_n(s) e^{i w s} ds = pi i^n (n+1) J_{n+1}(w)/w,
+    and the xi-integral is a midpoint rule on (-xi_max, xi_max), whose
+    truncation leaves an error of about 1/xi_max.
+    """
+    half = (np.arange(int(round(xi_max / dxi))) + 0.5) * dxi
+    xi = np.concatenate([-half[::-1], half])
+
+    def ft(pf, j):
+        h, m = pf.sys.half[j], pf.sys.mid[j]
+        n = np.arange(pf.coeffs[j].shape[0])[:, None]
+        w = h * xi
+        basis = np.pi * 1j ** n * (n + 1) * scipy.special.jv(n + 1, w) / w
+        return h * h * np.exp(1j * m * xi) * (pf.coeffs[j] @ basis)
+
+    fs = [ft(f, j) for j in range(f.sys.n)]
+    gs = [ft(g, j) for j in range(g.sys.n)]
+    acc = sum(theta[j, k] * np.sum(np.abs(xi) * fs[k] * np.conj(gs[j]))
+              for j in range(f.sys.n) for k in range(f.sys.n))
+    return float(np.real(acc)) * dxi / (2.0 * np.pi)
+
+
+def test_J_matches_richardson_fourier_oracle():
+    # close intervals and strong coupling: the cross terms carry ~1% of J
+    sys = make_interval_system([(-1.5, -0.1), (0.1, 1.4)])
+    th = ThetaMatrix([[1.0, 0.9], [0.9, 1.0]])
+    f = random_sqrt_vanishing(sys, modes=16, seed=1)
+    g = random_sqrt_vanishing(sys, modes=12, seed=2)
+    oracle = 2.0 * _fourier_J(th, f, g, 400.0) - _fourier_J(th, f, g, 200.0)
+    assert bilinear_form_J(th, f, g) == pytest.approx(oracle, rel=3e-4)
+
+
+def test_J_cross_nodes_resolve_a_small_gap(monkeypatch):
+    sys = make_interval_system([(-2.0, -0.005), (0.005, 2.0)])
+    th = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
+    f = random_sqrt_vanishing(sys, modes=24, seed=3)
+    g = random_sqrt_vanishing(sys, modes=24, seed=4)
+    derived = bilinear_form_J(th, f, g)
+    nodes = solver._cross_nodes
+    monkeypatch.setattr(solver, "_cross_nodes", lambda *a: 4 * nodes(*a))
+    assert derived == pytest.approx(bilinear_form_J(th, f, g), rel=1e-13)
 
 
 def test_injectivity_report_diagonal(sys2):
