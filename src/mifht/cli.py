@@ -1,9 +1,9 @@
 """Command-line entry point: ``mifht <command> --problem FILE [options]``.
 
-Exit codes: 0 ok, 2 schema, 3 geometry, 4 degenerate theta, 5 range
-violation, 6 near-singular, 7 convergence.  MIFHT_THREADS caps the linear
-algebra thread pools (best effort: exported before numpy spins them up in
-worker stages).
+Exit codes: 0 ok, 2 schema (or a t-grid beyond the inverse-map range), 3
+geometry, 4 degenerate theta, 5 range violation, 6 near-singular, 7
+convergence.  MIFHT_THREADS caps the linear algebra thread pools (best
+effort: exported before numpy spins them up in worker stages).
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from .errors import (
     NonFiniteError,
     OverlapError,
     RangeError,
+    RangeExceededError,
     RangeViolationError,
     SchemaError,
 )
 
 EXIT_CODES = (
-    (SchemaError, 2),
+    ((SchemaError, RangeExceededError), 2),
     ((OverlapError, NonFiniteError, DomainError), 3),
     (DegenerateDiagonalError, 4),
     ((RangeError, RangeViolationError), 5),

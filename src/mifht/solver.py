@@ -373,10 +373,13 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None,
     return SolveResult(phi=phi, c=c, nu=nu, nystrom=ns, diagnostics=diag)
 
 
-def _piece_integral(pf: PiecewiseFunction, k, fn):
-    """int_{I_k} pf_k(y) fn(y) dy with the weight-appropriate Gauss rule."""
+def _piece_integral(pf: PiecewiseFunction, k, m, fn):
+    """int_{I_k} pf_k(y) fn(y) dy with the weight-appropriate Gauss rule.
+
+    fn is analytic off I_m, so the size is that of ``_cross_nodes``.
+    """
     sys = pf.sys
-    size = max(2 * pf.coeffs[k].shape[0], 64)
+    size = _cross_nodes(sys, k, m, pf.coeffs[k].shape[0])
     if pf.weighted:
         grid = chebyshev2_grid(sys, size)
         x = grid.nodes[k]
@@ -399,7 +402,7 @@ def _range2_moments(theta, phi: PiecewiseFunction):
             def inv_rad(x, m=m):
                 return 1.0 / radical_eval(sys, m, x).real
 
-            out[m] += theta[m, k] * _piece_integral(phi, k, inv_rad)
+            out[m] += theta[m, k] * _piece_integral(phi, k, m, inv_rad)
     return out / np.pi
 
 

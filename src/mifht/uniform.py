@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import chebyshev as cheb
 from .chebyshev import PiecewiseFunction
@@ -44,6 +45,11 @@ from .intervals import IntervalSystem
 _polyval = np.polynomial.polynomial.polyval
 _polymul = np.polynomial.polynomial.polymul
 _polysub = np.polynomial.polynomial.polysub
+
+TABLE_LIMIT = 400.0       # largest |2t| the inverse maps accept
+NEWTON_MAX_ITER = 60      # enough for bisection alone to reach rounding
+LAMBDA0 = 0.25            # window of the low-frequency range diagnostic
+MULTIPLIER_FLOOR = 1e-8   # multiplier values below this are not divided by
 
 
 @dataclass(frozen=True)
@@ -119,10 +125,9 @@ def inverse_ft_at(grid: TGrid, spec, tstars):
 class SpectralData:
     """Endpoint polynomials, Bezout eigendecomposition and inverse maps."""
 
-    def __init__(self, sys: IntervalSystem, table_limit=400.0):
+    def __init__(self, sys: IntervalSystem):
         self.sys = sys
         n = sys.n
-        self.table_limit = float(table_limit)
         self.pa = np.polynomial.polynomial.polyfromroots(sys.alpha)  # prod (z-a_j)
         self.pb = np.polynomial.polynomial.polyfromroots(sys.beta)
         da = np.polynomial.polynomial.polyder(self.pa)
@@ -193,86 +198,59 @@ class SpectralData:
         Returns dict with x, dist_a = x - alpha_k, dist_b = beta_k - x and
         |phi'(x)|; the distances stay accurate in the exponential tails
         where x itself rounds to the endpoint.
+
+        The unknown is zeta = log(dist_a / dist_b), so x = alpha_k + L
+        expit(zeta) and phi(x) = 2t reads G(zeta) = h(x) - zeta - 2t = 0
+        with h(x) = sum_{j != k} log |(x - beta_j) / (x - alpha_j)|.  h
+        increases on I_k, so -1 < G' < 0 and G is at least 1 at
+        h(alpha_k) - 2t - 1 and at most -1 at h(beta_k) - 2t + 1.  Newton
+        steps in zeta are kept inside that bracket by bisection
+        (Numerical Recipes 9.4, rtsafe).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         y = 2.0 * t
-        if np.any(np.abs(y) > self.table_limit):
+        if np.any(np.abs(y) > TABLE_LIMIT):
             raise RangeExceededError(
-                f"|2t| exceeds the tabulated range {self.table_limit}")
+                f"|2t| exceeds the tabulated range {TABLE_LIMIT}")
         sys = self.sys
         a, b = sys.alpha[k], sys.beta[k]
         length = b - a
-        rest_a = [aj for j, aj in enumerate(sys.alpha) if j != k]
-        rest_b = list(sys.beta)
-        rest_bk = [bj for j, bj in enumerate(sys.beta) if j != k]
+        others = [j for j in range(sys.n) if j != k]
 
-        def log_abs_rest(x, roots):
+        def h(x):
             out = np.zeros(np.shape(x))
-            for r in roots:
-                out += np.log(np.abs(x - r))
+            for j in others:
+                out += np.log((x - sys.beta[j]) / (x - sys.alpha[j]))
             return out
 
-        # phi(a + d) = log|p_b(a+d)| - log(d) - log|prod_{j!=k}(a+d-a_j)|
-        dist_a = np.empty(y.shape)
-        dist_b = np.empty(y.shape)
-        x = np.empty(y.shape)
+        def place(zeta):
+            dist_a, dist_b = length * expit(zeta), length * expit(-zeta)
+            return dist_a, dist_b, np.where(zeta < 0.0, a + dist_a, b - dist_b)
 
-        mid_mask = np.abs(y) <= 8.0
-        if np.any(mid_mask):
-            ym = y[mid_mask]
-            lo = np.full(ym.shape, a + length * 1e-14)
-            hi = np.full(ym.shape, b - length * 1e-14)
-            for _ in range(70):
-                mm = 0.5 * (lo + hi)
-                too_low = self.phi(mm) < ym  # phi decreasing: value below target -> x too far right
-                hi = np.where(too_low, mm, hi)
-                lo = np.where(too_low, lo, mm)
-            xm = 0.5 * (lo + hi)
-            for _ in range(3):
-                step = (self.phi(xm) - ym) / self.phi_prime(xm)
-                xm = np.clip(xm - step, a + 1e-15, b - 1e-15)
-            x[mid_mask] = xm
-            dist_a[mid_mask] = xm - a
-            dist_b[mid_mask] = b - xm
-
-        # in both tails iterate in zeta = log(distance): the dzeta-derivative
-        # of the residual is -+1 + O(distance), so the unit-slope quasi-Newton
-        # converges fast and never touches the vanishing polynomial factor
-        left_mask = y > 8.0  # x exponentially close to alpha_k
-        if np.any(left_mask):
-            yl = y[left_mask]
-            # phi(a + d) = log|p_b(a+d)| - log|prod_{j!=k}(a+d-a_j)| - log d
-            zeta = (np.log(np.abs(_polyval(a, self.pb)))
-                    - log_abs_rest(a, rest_a) - yl)
-            for _ in range(8):
-                d = np.exp(zeta)
-                g = (np.log(np.abs(_polyval(a + d, self.pb)))
-                     - log_abs_rest(a + d, rest_a) - zeta - yl)
-                zeta = zeta + g  # dG/dzeta = d phi'(a+d) = -1 + O(d)
-            dist_a[left_mask] = np.exp(zeta)
-            dist_b[left_mask] = length - np.exp(zeta)
-            x[left_mask] = a + np.exp(zeta)
-
-        right_mask = y < -8.0
-        if np.any(right_mask):
-            yr = y[right_mask]
-            # phi(b - e) = log e + log|prod_{j!=k}(b-e-b_j)| - log|p_a(b-e)|
-            zeta = (yr + np.log(np.abs(_polyval(b, self.pa)))
-                    - log_abs_rest(b, rest_bk))
-            for _ in range(8):
-                e = np.exp(zeta)
-                g = (zeta + log_abs_rest(b - e, rest_bk)
-                     - np.log(np.abs(_polyval(b - e, self.pa))) - yr)
-                zeta = zeta - g  # dG/dzeta = -e phi'(b-e) = +1 + O(e)
-            dist_b[right_mask] = np.exp(zeta)
-            dist_a[right_mask] = length - np.exp(zeta)
-            x[right_mask] = b - np.exp(zeta)
+        lo = h(a) - y - 1.0
+        hi = h(b) - y + 1.0
+        zeta = 0.5 * (lo + hi)
+        for _ in range(NEWTON_MAX_ITER):
+            dist_a, dist_b, x = place(zeta)
+            hx = h(x)
+            g = hx - zeta - y
+            hp = sum((sys.beta[j] - sys.alpha[j])
+                     / ((x - sys.beta[j]) * (x - sys.alpha[j])) for j in others)
+            lo = np.where(g > 0.0, zeta, lo)
+            hi = np.where(g > 0.0, hi, zeta)
+            new = zeta - g / (hp * dist_a * dist_b / length - 1.0)
+            new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
+            # the Newton step from a residual this small is exact to rounding;
+            # a tighter test can stall on the rounding of h
+            done = np.abs(g) <= 1e-13 * (1.0 + np.abs(hx) + np.abs(y))
+            zeta = new
+            if np.all(done):
+                break
+        dist_a, dist_b, x = place(zeta)
 
         rest_prod = np.ones(y.shape)
-        for r in rest_a:
-            rest_prod *= np.abs(x - r)
-        for r in rest_bk:
-            rest_prod *= np.abs(x - r)
+        for j in others:
+            rest_prod *= np.abs(x - sys.alpha[j]) * np.abs(x - sys.beta[j])
         absphip = self.q_eval(x) / (dist_a * dist_b * rest_prod)
         return {"x": x, "dist_a": dist_a, "dist_b": dist_b, "absphip": absphip}
 
@@ -286,8 +264,8 @@ class SpectralData:
         return self._tables[key]
 
 
-def build_spectral_data(sys: IntervalSystem, table_limit=400.0) -> SpectralData:
-    return SpectralData(sys, table_limit=table_limit)
+def build_spectral_data(sys: IntervalSystem) -> SpectralData:
+    return SpectralData(sys)
 
 
 def phi_inverse(sd: SpectralData, k, t):
@@ -417,27 +395,27 @@ def uniform_forward(sd: SpectralData, f: PiecewiseFunction, grid: TGrid = None,
 
 
 def uniform_range_check(sd: SpectralData, g: PiecewiseFunction,
-                        grid: TGrid = None, lambda0=0.25, tol=1e-6):
+                        grid: TGrid = None, tol=1e-6):
     """Discrete surrogate of the low-frequency range condition.
 
     In-range data has (F M T g)_m vanishing at lambda = 0; the test statistic
     is the energy the DC bin would contribute to (1/lambda)(F M T g)_m under
     half-bin regularization, 4 |spec_m(0)|^2 / dlam, compared against
-    tol * ||g||^2.  The windowed energy over 0 < |lambda| < lambda0 is
+    tol * ||g||^2.  The windowed energy over 0 < |lambda| < LAMBDA0 is
     reported as a diagnostic (it stays finite on any fixed grid, so it
     cannot by itself separate in-range from out-of-range data).
     """
     grid = grid or TGrid()
     spec, _ = _mixed_spectrum(sd, g, grid)
-    return _range_verdict(spec, grid, g, lambda0, tol)
+    return _range_verdict(spec, grid, g, tol)
 
 
-def _range_verdict(spec, grid, g, lambda0, tol):
+def _range_verdict(spec, grid, g, tol):
     dlam = grid.dlam
     lam = grid.lam
     norm2 = g.norm2() ** 2
     dc_energy = 4.0 * np.abs(spec[:, 0]) ** 2 / dlam
-    window = (np.abs(lam) > 0) & (np.abs(lam) < lambda0)
+    window = (np.abs(lam) > 0) & (np.abs(lam) < LAMBDA0)
     windowed = np.sum(np.abs(spec[:, window] / lam[None, window]) ** 2,
                       axis=1) * dlam
     passed = bool(np.all(dc_energy <= tol * norm2))
@@ -446,46 +424,40 @@ def _range_verdict(spec, grid, g, lambda0, tol):
         "dc_energy": dc_energy,
         "windowed_energy": windowed,
         "tolerance": tol * norm2,
-        "lambda0": lambda0,
+        "lambda0": LAMBDA0,
     }
 
 
 def uniform_invert(sd: SpectralData, g: PiecewiseFunction, grid: TGrid = None,
-                   nmodes=None, check=True, multiplier_floor=1e-8,
-                   range_tol=1e-6) -> PiecewiseFunction:
+                   nmodes=None, range_tol=1e-6) -> PiecewiseFunction:
     """Inverse transform (F M T)^{-1} (i tanh(pi lambda/2))^{-1} (F M T) g.
 
-    Frequencies where the multiplier is below ``multiplier_floor`` are
+    Frequencies where the multiplier is below ``MULTIPLIER_FLOOR`` are
     excluded (only lambda = 0 at the default grid); their energy is exactly
-    the range diagnostic, so the range check runs first unless disabled.
+    the range diagnostic, so the range check runs first.
     """
-    return uniform_invert_with_verdict(sd, g, grid, nmodes, check,
-                                       multiplier_floor, range_tol)[0]
+    return uniform_invert_with_verdict(sd, g, grid, nmodes, range_tol)[0]
 
 
 def uniform_invert_with_verdict(sd: SpectralData, g: PiecewiseFunction,
-                                grid: TGrid = None, nmodes=None, check=True,
-                                multiplier_floor=1e-8, range_tol=1e-6):
+                                grid: TGrid = None, nmodes=None, range_tol=1e-6):
     """``uniform_invert`` plus the range verdict it checked, as (f, verdict).
 
-    The verdict is the ``uniform_range_check`` result (default ``lambda0``)
-    of the same spectrum the inversion uses, so the spectrum of g is
-    computed once; it is None when ``check`` is False.
+    The verdict is the ``uniform_range_check`` result of the same spectrum
+    the inversion uses, so the spectrum of g is computed once.
     """
     grid = grid or TGrid()
     spec, _ = _mixed_spectrum(sd, g, grid)
-    verdict = None
-    if check:
-        verdict = _range_verdict(spec, grid, g, 0.25, range_tol)
-        if not verdict["pass"]:
-            raise RangeViolationError(
-                "low-frequency energy test failed: dc_energy = "
-                f"{verdict['dc_energy']} > {verdict['tolerance']:.3e}")
+    verdict = _range_verdict(spec, grid, g, range_tol)
+    if not verdict["pass"]:
+        raise RangeViolationError(
+            "low-frequency energy test failed: dc_energy = "
+            f"{verdict['dc_energy']} > {verdict['tolerance']:.3e}")
     if nmodes is None:
         nmodes = max(c.shape[0] for c in g.coeffs) + 8
     mult = 1j * np.tanh(np.pi * grid.lam / 2.0)
     inv = np.zeros_like(mult)
-    keep = np.abs(mult) >= multiplier_floor
+    keep = np.abs(mult) >= MULTIPLIER_FLOOR
     inv[keep] = 1.0 / mult[keep]
     recovered = inv[None, :] * spec
     # the guarded dc bin carries finite weight on the discrete grid; the

@@ -266,7 +266,9 @@ MALFORMED = {
         MINIMAL.replace("linear 0 1", "cheb-sqrt x"), ["invert"]),
     "dt-zero": (UNIFORM1 + "dt = 0\n", ["uniform-invert"]),
     "tmax-negative": (UNIFORM1, ["uniform-invert", "--tmax", "-1"]),
+    "tmax-beyond-inverse-map-range": (UNIFORM1, ["uniform-invert", "--tmax", "256"]),
 }
+MALFORMED_ERROR = {"tmax-beyond-inverse-map-range": "RangeExceededError"}
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -275,7 +277,7 @@ def test_cli_malformed_input_exits_2(case, tmp_path, capsys):
     prob = tmp_path / "p.txt"
     prob.write_text(text)
     assert cli_main([command, "--problem", str(prob), *options]) == 2
-    assert "SchemaError" in capsys.readouterr().err
+    assert MALFORMED_ERROR.get(case, "SchemaError") in capsys.readouterr().err
 
 
 def test_cli_writes_output(tmp_path):

@@ -34,6 +34,8 @@ from mifht.solver import (
     residual_range2,
     solve_phi,
 )
+from mifht.intervals import radical_eval
+from mifht.quadrature import chebyshev2_grid
 
 from conftest import interior_points
 
@@ -317,6 +319,22 @@ def test_residual_range2_on_solution(sys2, theta2):
     res = solve_phi(theta2, psi, size=64)
     r = residual_range2(theta2, res.phi, res.c)
     assert np.max(np.abs(r)) <= 1e-6
+
+
+def test_residual_range2_resolves_a_small_gap():
+    # 1/R_m is singular 0.01 away from I_k; compare with 4x the derived nodes
+    # (the 0.5 below is theta_mk)
+    sys = make_interval_system([(-2.0, -0.005), (0.005, 2.0)])
+    th = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
+    phi = random_sqrt_vanishing(sys, modes=24, seed=3)
+    ref = np.zeros(2)
+    for m, k in ((0, 1), (1, 0)):
+        grid = chebyshev2_grid(sys, 4 * solver._cross_nodes(sys, k, m, 24))
+        x = grid.nodes[k]
+        ref[m] = 0.5 / np.pi * np.sum(grid.sqrt_weights[k] * phi.piece_smooth(k, x)
+                                      / radical_eval(sys, m, x).real)
+    np.testing.assert_allclose(residual_range2(th, phi, np.zeros(2)), ref,
+                               rtol=1e-13)
 
 
 # -- bilinear form and injectivity ----------------------------------------------
