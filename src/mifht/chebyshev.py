@@ -83,6 +83,30 @@ def chebU_coeffs(values):
                          axis=-1) / (N + 1)
 
 
+def chebU_nodal(a, N):
+    """Values of sum_k a_k U_k at cheb2_nodes(N), along the last axis.
+
+    With b = chebU_to_T(a) the sum is sum_m b_m cos(m theta_q), theta_q =
+    pi q / (N+1).  cos(m theta_q) has period 2(N+1) in m and is even under
+    m -> 2(N+1) - m, so the T coefficients fold onto m = 0..N+1 and one
+    DCT-I gives every node value.  Any number of coefficients is accepted.
+    Unlike sin((k+1) theta) / sin(theta), nothing is divided by the small
+    sines of the end nodes, so the rounding stays at a few ulps of the
+    largest value.
+    """
+    b = chebU_to_T(a)
+    period = 2 * (N + 1)
+    rows = -(-b.shape[-1] // period)
+    c = np.zeros(b.shape[:-1] + (rows * period,), dtype=b.dtype)
+    c[..., : b.shape[-1]] = b
+    c = c.reshape(b.shape[:-1] + (rows, period)).sum(axis=-2)
+    # DCT-I: y_q = x_0 + (-1)^q x_{N+1} + 2 sum_{m=1}^{N} x_m cos(m theta_q)
+    x = c[..., : N + 2].copy()
+    x[..., 1: N + 1] = 0.5 * (x[..., 1: N + 1] + c[..., : N + 1: -1])
+    y = scipy.fft.dct(x, type=1, axis=-1)
+    return y[..., N: 0: -1]
+
+
 def clenshaw_T(b, s):
     """Evaluate sum b_n T_n(s); s may be real or complex, any shape."""
     s = np.asarray(s)
@@ -106,14 +130,14 @@ def clenshaw_U(a, s):
 
 
 def chebU_to_T(a):
-    """Exact T coefficients of the polynomial sum a_k U_k."""
+    """Exact T coefficients of the polynomial sum a_k U_k, along the last axis."""
     a = np.asarray(a)
     b = np.empty(a.shape, dtype=np.result_type(a, float))
     # U_k = 2 (T_k + T_{k-2} + ...) with the T_0 term halved, so b_m sums
     # 2 a_k over k >= m of the parity of m
     for p in (0, 1):
-        b[p::2] = 2.0 * np.cumsum(a[p::2][::-1])[::-1]
-    b[:1] *= 0.5
+        b[..., p::2] = 2.0 * np.cumsum(a[..., p::2][..., ::-1], axis=-1)[..., ::-1]
+    b[..., :1] *= 0.5
     return b
 
 

@@ -24,6 +24,8 @@ non-singular at z = x because of the orthogonality of f and g.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import chebyshev as cheb
@@ -34,8 +36,7 @@ from .errors import (
     NearSingularError,
     SymmetryError,
 )
-from .intervals import ABOVE, BELOW, IntervalSystem, joukowski_exterior, radical_eval
-from .quadrature import chebyshev2_grid
+from .intervals import ABOVE, BELOW, IntervalSystem, radical_eval, unit_radical
 from .solver import (
     NystromSystem,
     as_theta,
@@ -44,8 +45,12 @@ from .solver import (
     compute_nu,
     extreme_singular_values,
     _range2_moments,
+    _real_matmul,
     _solve_refined,
 )
+
+# targets per row chunk of the resolvent projection
+RESOLVENT_CHUNK = 64
 
 
 class IntegrableKernelData:
@@ -77,6 +82,21 @@ class IntegrableKernelData:
             if a == k:
                 continue
             out[a] = th[a, k] / (th[a, a] * radical_eval(sys, a, x).real)
+        return out
+
+    def g_matrix_derivative(self, k, x):
+        """d/dx of g_matrix(k, x): g_a' = -theta_ak (x - mid_a) / (theta_aa R_a^3).
+
+        From R_a^2 = (x - alpha_a)(x - beta_a), so R_a' = (x - mid_a) / R_a.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        sys, th = self.sys, self.theta
+        out = np.zeros((sys.n, x.size))
+        for a in range(sys.n):
+            if a == k:
+                continue
+            r = radical_eval(sys, a, x).real
+            out[a] = -th[a, k] * (x - sys.mid[a]) / (th[a, a] * r ** 3)
         return out
 
     def _per_interval(self, x, piece, dtype, name):
@@ -139,7 +159,7 @@ def compute_F(nystrom: NystromSystem, kernel: IntegrableKernelData):
         raise NearSingularError(
             f"Id - K/lambda numerically singular: sigma_min = {sigma_min:.3e}")
     smooth = _solve_refined(ns.matrix.astype(complex), rhs).T  # (n, total)
-    residual = float(np.max(np.abs(ns.matrix @ smooth.T - rhs)))
+    residual = float(np.max(np.abs(_real_matmul(ns.matrix, smooth.T) - rhs)))
     wts = np.concatenate([ns.sys.weight(l, ns.grid.nodes[l]) for l in range(n)])
     values = smooth * wts[None, :]
     return smooth, values, residual
@@ -175,10 +195,8 @@ class GammaSolution:
         self.density = []
         for l in range(n):
             z = self.sys.from_unit(l, cheb.cheb2_nodes(nmodes))
-            sig = np.zeros((n, nmodes), dtype=complex)
-            for j in range(n):
-                base = -2j if j == l else 0.0
-                sig[j] = base + ns.kernel_apply_smooth(smooth[j], l, z) / ns.lam
+            sig = ns.kernel_apply_smooth(smooth.T, l, z).T / ns.lam  # (n, nmodes)
+            sig[l] -= 2j
             gmat = kernel.g_matrix(l, z)  # (n, nmodes), row l zero
             dmat = np.einsum("jq,mq->jmq", sig, gmat)
             coeffs = cheb.chebU_coeffs(dmat.reshape(n * n, nmodes))
@@ -199,20 +217,38 @@ class GammaSolution:
         ``side`` (+1/-1) picks the boundary value for real points lying
         inside an interval; it is ignored for genuinely complex points.
         """
+        out = self._series(points, side)
+        return out[0] if np.ndim(points) == 0 else out
+
+    def _series(self, points, side, derivative=False):
+        """Gamma, or with ``derivative`` Gamma', at points; shape (npts, n, n).
+
+        Gamma = Id - sum_l (i h_l / 2 lambda) sum_k D_l[k] u_l^{-(k+1)}, and
+        d/dz u^{-(k+1)} = -(k+1) u^{-(k+1)} / (h sqrt(s^2 - 1)) gives
+        Gamma' = sum_l (i / 2 lambda) sum_k (k+1) D_l[k] u_l^{-(k+1)} / sqrt(s_l^2 - 1).
+        """
         pts = np.atleast_1d(np.asarray(points))
         if np.iscomplexobj(pts) and np.all(pts.imag == 0.0):
             pts = pts.real
         self._check_endpoints(pts)
         n = self.sys.n
-        out = np.tile(np.eye(n, dtype=complex), (pts.size, 1, 1))
+        if derivative:
+            out = np.zeros((pts.size, n, n), dtype=complex)
+        else:
+            out = np.tile(np.eye(n, dtype=complex), (pts.size, 1, 1))
         for l in range(n):
             s = (pts - self.sys.mid[l]) / self.sys.half[l]
-            u = joukowski_exterior(s, side)
-            K = self.density[l].shape[2]
-            upows = np.cumprod(np.broadcast_to(1.0 / u, (K, pts.size)), axis=0)
-            Cl = np.tensordot(self.density[l], upows, axes=([2], [0]))  # (n,n,P)
-            out -= (0.5j * self.sys.half[l] / self.lam) * np.moveaxis(Cl, 2, 0)
-        return out[0] if np.ndim(points) == 0 else out
+            rad = unit_radical(s, side)
+            D = self.density[l]
+            K = D.shape[2]
+            upows = np.cumprod(np.broadcast_to(1.0 / (s + rad), (K, pts.size)), axis=0)
+            if derivative:
+                Cl = np.tensordot(D * np.arange(1, K + 1), upows, axes=([2], [0])) / rad
+                out += (0.5j / self.lam) * np.moveaxis(Cl, 2, 0)
+            else:
+                Cl = np.tensordot(D, upows, axes=([2], [0]))  # (n,n,P)
+                out -= (0.5j * self.sys.half[l] / self.lam) * np.moveaxis(Cl, 2, 0)
+        return out
 
     def inverse(self, points, side=None):
         return np.linalg.inv(self.eval(points, side))
@@ -229,6 +265,63 @@ class GammaSolution:
         ginv = self.inverse(x, side=ABOVE)
         gmat = self.kernel.g_matrix(k, x)  # (n, len)
         return np.einsum("aq,qam->qm", gmat, ginv)
+
+    def gtinv_derivative(self, k, x):
+        """A'(x) for A = g^t Gamma^{-1} and x in I_k; shape (len(x), n).
+
+        A = g^t Gamma_+^{-1} on the cut, so A' = g'^t Gamma_+^{-1} -
+        A Gamma_+' Gamma_+^{-1}, with g' in closed form and Gamma_+' from the
+        differentiated exterior series.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        ginv = self.inverse(x, side=ABOVE)
+        A = np.einsum("aq,qam->qm", self.kernel.g_matrix(k, x), ginv)
+        return self._slope(x, self.kernel.g_matrix_derivative(k, x), ginv, A)
+
+    def _slope(self, x, dg, ginv, A):
+        """A' = g'^t Gamma_+^{-1} - A Gamma_+' Gamma_+^{-1} from g' (n, P) and
+        Gamma_+^{-1}, A at the points x."""
+        dgam = self._series(x, ABOVE, derivative=True)
+        return (np.einsum("aq,qam->qm", dg, ginv)
+                - (A[:, None, :] @ dgam @ ginv)[:, 0])
+
+    # -- values at the Nystrom nodes -------------------------------------------
+
+    def _node_g(self, weights):
+        """(n, Q) rows weights[a, k] / (theta_aa R_a(x_q)) at the stacked nodes.
+
+        x_q lies in I_k; the own entry a = k is zero.  ``weights = theta``
+        gives g itself.  The radicals come from the Nystrom system.
+        """
+        ns = self.nystrom
+        owner = np.repeat(np.arange(self.sys.n), ns.grid.sizes)
+        diag = np.diag(self.theta.entries)[:, None]
+        out = np.asarray(weights)[:, owner] / (diag * ns.rad_nodes)
+        out[owner, np.arange(owner.size)] = 0.0
+        return out
+
+    @cached_property
+    def _at_nodes(self):
+        """(Gamma_+, Gamma_+^{-1}, A = g^t Gamma^{-1}) at the stacked Nystrom nodes.
+
+        Built on first use from one evaluation of Gamma; shapes (Q, n, n),
+        (Q, n, n) and (Q, n).
+        """
+        gam = self.eval(np.concatenate(self.nystrom.grid.nodes), side=ABOVE)
+        ginv = np.linalg.inv(gam)
+        return gam, ginv, np.einsum("aq,qam->qm", self._node_g(self.theta.entries), ginv)
+
+    def _nodal(self, pf: PiecewiseFunction):
+        """Smooth parts of a sqrt-vanishing function at the stacked Nystrom nodes."""
+        if not pf.weighted:
+            raise ValueError("nodal values are defined for weighted functions only")
+        return np.concatenate([cheb.chebU_nodal(pf.coeffs[k], m)
+                               for k, m in enumerate(self.nystrom.grid.sizes)])
+
+    def _node_moments(self, pf: PiecewiseFunction, rows):
+        """sum_k int_{I_k} pf_k(x) rows_m(x) dx for rows (Q, n) at the nodes."""
+        sw = np.concatenate(self.nystrom.grid.sqrt_weights)
+        return (sw * self._nodal(pf)) @ rows
 
     # -- validation helpers ---------------------------------------------------
 
@@ -264,26 +357,41 @@ class GammaSolution:
 
         Evaluated in the cancellation-free form
         [A(x) - A(z)] (Gamma f)(z) / (2 pi i lambda (z - x)), A = g^t Gamma^{-1},
-        which is exact since A(z) (Gamma f)(z) = f^t g (z) = 0.
+        which is exact since A(z) (Gamma f)(z) = f^t g (z) = 0.  At z == x
+        the limit is -A'(z) (Gamma f)(z) / (2 pi i lambda).
         """
         z, x = float(z), float(x)
-        if z == x:
-            if not limit:
-                raise CoincidenceError(
-                    "resolvent kernel at z == x: pass limit=True for the limit")
-            d = 1e-6 * self.sys.half[self.sys.locate(z)]
-            return 0.5 * (self.resolvent_kernel(z + d, x)
-                          + self.resolvent_kernel(z - d, x))
+        if z == x and not limit:
+            raise CoincidenceError(
+                "resolvent kernel at z == x: pass limit=True for the limit")
         kz = self.sys.locate(z)
         kx = self.sys.locate(x)
         if kz < 0 or kx < 0:
             raise EndpointError("resolvent kernel wants interior points")
+        scale = 2j * np.pi * self.lam
+        if z == x:
+            return -np.dot(self.gtinv_derivative(kz, z)[0], self.gamma_f(z)) / scale
         az = self.gtinv(kz, z)[0]
         ax = self.gtinv(kx, x)[0]
         gf = self.gamma_f(z)
-        return np.dot(ax - az, gf) / (2j * np.pi * self.lam * (z - x))
+        return np.dot(ax - az, gf) / (scale * (z - x))
 
-    def resolvent_matrix(self, order=None):
+    def _node_slopes(self, index):
+        """A' at the stacked Nystrom nodes picked by ``index``; (len(index), n).
+
+        Gamma_+^{-1} and A come from the node cache.
+        """
+        ns = self.nystrom
+        x = np.concatenate(ns.grid.nodes)[index]
+        owner = np.searchsorted(ns.offsets, index, side="right") - 1
+        dg = np.empty((self.sys.n, x.size))
+        for l in np.unique(owner):
+            on = owner == l
+            dg[:, on] = self.kernel.g_matrix_derivative(l, x[on])
+        _, ginv, A = self._at_nodes
+        return self._slope(x, dg, ginv[index], A[index])
+
+    def resolvent_matrix(self):
         """Dense resolvent sampled like the Nystrom kernel: entries R(z,x) sw.
 
         Acts on smooth parts, matching self.nystrom.kernel, so that
@@ -294,25 +402,15 @@ class GammaSolution:
         nodes = np.concatenate(xs)
         sw = np.concatenate(ns.grid.sqrt_weights)
         wt = np.concatenate([self.sys.weight(l, x) for l, x in enumerate(xs)])
-        d = np.concatenate([np.full(len(x), 1e-6 * self.sys.half[l])
-                            for l, x in enumerate(xs)])
-
-        def at(z):
-            """A = g^t Gamma^{-1} and Gamma f at points z placed like the nodes."""
-            A = np.concatenate([self.gtinv(l, zl) for l, zl in enumerate(ns.split(z))])
-            return A, self.gamma_f(z)
-
-        A, GF = at(nodes)
-        # the coincidence limit averages R(z + d, z) and R(z - d, z) with
-        # d = 1e-6 half, as resolvent_kernel(limit=True) does
-        (Ap, GFp), (Am, GFm) = at(nodes + d), at(nodes - d)
+        gam, _, A = self._at_nodes
+        GF = np.einsum("qab,qb->qa", gam, self.kernel.f_vector(nodes))
         scale = 2j * np.pi * self.lam
         dz = nodes[:, None] - nodes[None, :]
         np.fill_diagonal(dz, 1.0)
         # row i: (A(x_q) - A(z_i)) . (Gamma f)(z_i) / (2 pi i lambda (z_i - x_q))
         out = (GF @ A.T - np.sum(A * GF, axis=1)[:, None]) / (scale * dz)
-        lim = 0.5 * np.sum((A - Ap) * GFp - (A - Am) * GFm, axis=1) / (scale * d)
-        np.fill_diagonal(out, lim)
+        slopes = self._node_slopes(np.arange(nodes.size))
+        np.fill_diagonal(out, -np.sum(slopes * GF, axis=1) / scale)
         return out * sw[None, :] / wt[:, None]
 
     def apply_resolvent(self, nu: PiecewiseFunction, nmodes=None):
@@ -321,36 +419,44 @@ class GammaSolution:
         Smooth parts at U nodes z of I_m:
         -(1/pi) sum_k sum_q sw p_k(x_q) [(A(x_q) - A(z)) Gamma_m(z)] / (z - x_q),
         with Gamma_m the m-th column (continuous across I_m) and the g/f
-        normalization folded into the -1/pi prefactor.
+        normalization folded into the -1/pi prefactor.  A target on a node
+        takes the limit -A'(z) Gamma_m(z) of its term.
         """
         ns = self.nystrom
         sys = self.sys
         if nmodes is None:
             nmodes = max(ns.grid.sizes) + 33
-        xs = ns.grid.nodes
-        sws = ns.grid.sqrt_weights
-        Ax = [self.gtinv(k, xs[k]) for k in range(sys.n)]  # (M, n) each
-        pk = [nu.piece_smooth(k, xs[k]) for k in range(sys.n)]
-        smooth = []
-        for m in range(sys.n):
-            z = sys.from_unit(m, cheb.cheb2_nodes(nmodes))
-            gm = self.eval(z, side=ABOVE)
-            Az = np.einsum("aq,qam->qm", self.kernel.g_matrix(m, z), np.linalg.inv(gm))
-            col = gm[:, :, m]  # (P, n)
-            acc = np.zeros(z.size, dtype=complex)
-            for k in range(sys.n):
-                dz = z[:, None] - xs[k][None, :]
-                if np.any(dz == 0.0):
-                    raise ValueError("quadrature node collides with a target; "
-                                     "choose a different nmodes")
-                proj = np.einsum("qa,pa->pq", Ax[k], col) - np.einsum(
-                    "pa,pa->p", Az, col)[:, None]
-                acc += ((sws[k] * pk[k])[None, :] * proj / dz).sum(axis=1)
-            smooth.append(-acc / np.pi)
-        field = "real"
-        if nu.field != "real" or np.iscomplexobj(np.asarray(self.lam)):
-            field = "complex"
-        if field == "real":
+        x = np.concatenate(ns.grid.nodes)
+        _, _, Ax = self._at_nodes
+        weights = np.concatenate(ns.grid.sqrt_weights) * self._nodal(nu)
+        z = np.concatenate([sys.from_unit(m, cheb.cheb2_nodes(nmodes))
+                            for m in range(sys.n)])
+        gz = self.eval(z, side=ABOVE)
+        Az = np.einsum("qa,qam->qm", self.kernel.g_vector(z), np.linalg.inv(gz))
+        owner = np.repeat(np.arange(sys.n), nmodes)
+        col = gz[np.arange(z.size), :, owner]  # Gamma_m(z) on I_m, (P, n)
+        Acol = np.sum(Az * col, axis=1)
+        # targets on a node: z_p == x_q up to the rounding of the two cosine
+        # grids, which leaves 1-ulp gaps (both arrays ascending)
+        hi = np.minimum(np.searchsorted(x, z), x.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        q = np.where(np.abs(x[lo] - z) < np.abs(x[hi] - z), lo, hi)
+        p = np.nonzero(np.abs(x[q] - z) <= 8 * np.finfo(float).eps * sys.scale)[0]
+        q = q[p]
+        acc = np.empty(z.size, dtype=complex)
+        for start in range(0, z.size, RESOLVENT_CHUNK):
+            rows = slice(start, start + RESOLVENT_CHUNK)
+            dz = z[rows, None] - x[None, :]
+            on = (start <= p) & (p < start + RESOLVENT_CHUNK)
+            dz[p[on] - start, q[on]] = np.inf  # these terms take the limit below
+            proj = col[rows] @ Ax.T
+            proj -= Acol[rows, None]
+            proj /= dz
+            acc[rows] = proj @ weights
+        if p.size:
+            acc[p] -= weights[q] * np.sum(self._node_slopes(q) * col[p], axis=1)
+        smooth = np.split(-acc / np.pi, sys.n)
+        if nu.field == "real" and not np.iscomplexobj(np.asarray(self.lam)):
             smooth = [np.real(v) for v in smooth]
         return PiecewiseFunction.from_smooth_values(sys, smooth, weighted=True)
 
@@ -381,8 +487,7 @@ def invert_via_resolvent(theta, psi: PiecewiseFunction, size=96, nmodes=None,
     return phi, c, gamma
 
 
-def range_condition_N2(theta, nu: PiecewiseFunction, gamma: GammaSolution,
-                       order=None):
+def range_condition_N2(theta, nu: PiecewiseFunction, gamma: GammaSolution):
     """Predicted c from the symmetric-theta second range condition.
 
     c_m = (theta_mm / pi) int_I nu(x) (g^t Gamma^{-1})_m (x) dx, which on
@@ -391,28 +496,17 @@ def range_condition_N2(theta, nu: PiecewiseFunction, gamma: GammaSolution,
     including I_m itself: the derivation keeps the full nu g^t Gamma^{-1}
     moment, and dropping the own-interval piece leaves an O(1e-4) defect on
     generic data (verified against the resolvent route, which needs no such
-    identity).
+    identity).  The moments use the Nystrom grid and its cached A.
     """
     theta = as_theta(theta)
     if not np.allclose(theta.entries, theta.entries.T, rtol=1e-13, atol=0.0):
         raise SymmetryError("second range condition in this form needs theta = theta^t")
-    sys = nu.sys
-    if order is None:
-        order = max(gamma.nystrom.grid.sizes)
-    grid = chebyshev2_grid(sys, order)
-    out = np.zeros(sys.n, dtype=complex)
-    for k in range(sys.n):
-        x = grid.nodes[k]
-        A = gamma.gtinv(k, x)  # (M, n)
-        pk = nu.piece_smooth(k, x)
-        for m in range(sys.n):
-            out[m] += (theta[m, m] / np.pi) * np.sum(
-                grid.sqrt_weights[k] * pk * A[:, m])
-    return out
+    _, _, A = gamma._at_nodes
+    moments = gamma._node_moments(nu, A)
+    return (np.diag(theta.entries) / np.pi) * moments
 
 
-def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolution,
-                        order=None):
+def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolution):
     """The two-interval specialization with Gamma^{-1} written as cofactors.
 
     c_1 = (theta_21/pi) int_{I_2} Gamma_22 nu_2 / (det R_1) dx
@@ -425,27 +519,24 @@ def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolu
     sys = nu.sys
     if sys.n != 2:
         raise ValueError("the two-interval specialization needs n == 2")
-    if order is None:
-        order = max(gamma.nystrom.grid.sizes)
-    grid = chebyshev2_grid(sys, order)
+    grid = gamma.nystrom.grid
+    split = gamma.nystrom.split
+    gams = split(gamma._at_nodes[0])
+    smooth = split(gamma._nodal(nu))
 
     def rad(m, x):
         return radical_eval(sys, m, x).real
 
     out = np.zeros(2, dtype=complex)
     for (m, k) in ((0, 1), (1, 0)):
-        x = grid.nodes[k]
-        g = gamma.eval(x, side=ABOVE)
+        x, g = grid.nodes[k], gams[k]
         det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-        pk = nu.piece_smooth(k, x)
         cross = (theta[k, m] / np.pi) * np.sum(
-            grid.sqrt_weights[k] * pk * (g[:, k, k] / det) / rad(m, x))
-        xo = grid.nodes[m]
-        go = gamma.eval(xo, side=ABOVE)
+            grid.sqrt_weights[k] * smooth[k] * (g[:, k, k] / det) / rad(m, x))
+        xo, go = grid.nodes[m], gams[m]
         deto = go[:, 0, 0] * go[:, 1, 1] - go[:, 0, 1] * go[:, 1, 0]
-        po = nu.piece_smooth(m, xo)
         own = (theta[m, m] * theta[k, m] / (theta[k, k] * np.pi)) * np.sum(
-            grid.sqrt_weights[m] * po * (-go[:, k, m] / deto) / rad(k, xo))
+            grid.sqrt_weights[m] * smooth[m] * (-go[:, k, m] / deto) / rad(k, xo))
         out[m] = cross + own
     return out
 
@@ -464,8 +555,7 @@ def range_condition_J12(theta, nu: PiecewiseFunction, gamma: GammaSolution,
     return j1 + j2
 
 
-def range_check_L1_variant(psi: PiecewiseFunction, gamma: GammaSolution,
-                           theta, order=None):
+def range_check_L1_variant(psi: PiecewiseFunction, gamma: GammaSolution, theta):
     """Residuals of the integrable-data range identity, per component.
 
     For R^{-1} psi in L^1 the second condition collapses to
@@ -479,46 +569,18 @@ def range_check_L1_variant(psi: PiecewiseFunction, gamma: GammaSolution,
     applicable) 'zero_shift' residual vectors.
     """
     theta = as_theta(theta)
-    sys = psi.sys
-    n = sys.n
     c = compute_c(psi)
     nu = compute_nu(psi, c, theta)
-    if order is None:
-        order = max(gamma.nystrom.grid.sizes)
-    grid = chebyshev2_grid(sys, order)
-    W = theta.entries / np.diag(theta.entries)[None, :]
-    np.fill_diagonal(W, 0.0)
-
-    resid_int = np.zeros(n, dtype=complex)
-    resid_zero = np.zeros(n, dtype=complex)
-    for m in range(n):
-        resid_int[m] = np.pi * c[m]  # i * int psi_m / R_{m+} = pi c_m
-    # the k-sum runs over every interval (the own-interval moment is part of
-    # the nu g^t Gamma^{-1} integral; see range_condition_N2)
-    for k in range(n):
-        x = grid.nodes[k]
-        ginv = np.linalg.inv(gamma.eval(x, side=ABOVE))
-        rads = np.zeros((n, x.size))
-        for a in range(n):
-            if a == k:
-                continue
-            rads[a] = radical_eval(sys, a, x).real
-        qk = theta[k, k] * nu.piece_smooth(k, x)  # H^{-1}[psi_k - c_k] smooth part
-        for m in range(n):
-            chain = np.zeros(x.size, dtype=complex)
-            nch = np.zeros(x.size, dtype=complex)
-            for a in range(n):
-                if a == k:
-                    continue
-                chain += (theta[k, a] / (theta[k, k] * theta[a, a])
-                          ) * ginv[:, a, m] / rads[a]
-                nch += W[k, a] * ginv[:, a, m] / rads[a]
-            # bracket = i w_k chain and H_k[psi_k/R_{k+}] = i q_k, so the
-            # product is -w_k q_k chain; sqrt weights absorb the w_k
-            resid_int[m] += theta[m, m] * np.sum(
-                grid.sqrt_weights[k] * (-qk * chain))
-            resid_zero[m] += np.sum(
-                grid.sqrt_weights[k] * nu.piece_smooth(k, x) * nch)
+    # on I_k the bracket is i w_k chain_m with chain_m = sum_{a != k}
+    # theta_ka Gamma^{-1}_am / (theta_kk theta_aa R_a), and H_k[psi_k/R_{k+}]
+    # = i theta_kk nu_k; their product is -w_k nu_k n_m with n_m = theta_kk
+    # chain_m, the zero-shift integrand.  The k-sum runs over every interval
+    # (the own-interval moment is part of the nu g^t Gamma^{-1} integral; see
+    # range_condition_N2)
+    _, ginv, _ = gamma._at_nodes
+    rows = np.einsum("aq,qam->qm", gamma._node_g(theta.entries.T), ginv)
+    resid_zero = gamma._node_moments(nu, rows)
+    resid_int = np.pi * c - np.diag(theta.entries) * resid_zero  # i int psi_m/R_{m+} = pi c_m
     result = {"integrable": resid_int}
     if np.max(np.abs(c)) <= 1e-10 * (1.0 + psi.norm2()):
         result["zero_shift"] = resid_zero

@@ -188,21 +188,39 @@ class NystromSystem:
                 for j in range(self.sys.n)]
 
     def kernel_apply_smooth(self, node_values, j, targets):
-        """Smooth part of (K v)(z) for z = targets in I_j, v given at nodes."""
-        vals = self.split(np.asarray(node_values, dtype=complex))
+        """Smooth part of (K v)(z) for z = targets in I_j, v given at nodes.
+
+        ``node_values`` is one vector (N,) or a block (N, r) of columns;
+        the result has shape (len(targets),) or (len(targets), r).  Each
+        off-diagonal block is one real Cauchy-matrix product.
+        """
+        vals = np.asarray(node_values)
         z = np.atleast_1d(np.asarray(targets, dtype=float))
-        acc = np.zeros(z.shape, dtype=complex)
+        acc = np.zeros(z.shape + vals.shape[1:], dtype=np.result_type(vals, float))
         th = self.theta
         for k in range(self.sys.n):
             if k == j:
                 continue
+            own = slice(self.offsets[k], self.offsets[k + 1])
             x = self.grid.nodes[k]
-            sw = self.grid.sqrt_weights[k]
-            rj = self.rad_nodes[j, self.offsets[k]: self.offsets[k + 1]]
-            coef = th[j, k] / (np.pi * th[j, j])
-            acc += coef * ((sw * vals[k] / rj)[None, :]
-                           / (x[None, :] - z[:, None])).sum(axis=1)
+            scale = (th[j, k] / (np.pi * th[j, j])) * (
+                self.grid.sqrt_weights[k] / self.rad_nodes[j, own])
+            cauchy = 1.0 / (x[None, :] - z[:, None])
+            acc += _real_matmul(cauchy, (scale * vals[own].T).T)
         return acc
+
+
+def _real_matmul(a, b):
+    """a @ b for a matrix a and a vector or block b; a real a stays real.
+
+    A complex b meets a real a as its interleaved real view, one real
+    product instead of a cast of a to complex.
+    """
+    if np.iscomplexobj(a) or not np.iscomplexobj(b):
+        return a @ b
+    b2 = np.ascontiguousarray(b).reshape(b.shape[0], -1)
+    out = a @ b2.view(np.float64)
+    return out.view(complex).reshape(a.shape[:1] + b.shape[1:])
 
 
 def assemble_K(sys: IntervalSystem, theta, grid=None, lam=1.0, size=96) -> NystromSystem:
@@ -240,17 +258,16 @@ def assemble_K(sys: IntervalSystem, theta, grid=None, lam=1.0, size=96) -> Nystr
             if k == j:
                 continue
             cols = slice(offsets[k], offsets[k + 1])
-            xk = grid.nodes[k]
-            sw = grid.sqrt_weights[k]
-            rj = rad_nodes[j, cols]
             coef = theta[j, k] / (np.pi * theta[j, j])
-            kern[rows, cols] = coef * sw[None, :] / (
-                rj[None, :] * (xk[None, :] - zj[:, None]))
+            # coef sw / (R_j(x) (x - z)), written into the block in place
+            block = kern[rows, cols]
+            np.subtract(grid.nodes[k][None, :], zj[:, None], out=block)
+            block *= rad_nodes[j, cols]
+            np.divide(coef * grid.sqrt_weights[k], block, out=block)
 
-    if np.iscomplexobj(np.asarray(lam)) and np.imag(lam) != 0:
-        matrix = np.eye(total, dtype=complex) - kern / lam
-    else:
-        matrix = np.eye(total) - kern / np.real(lam)
+    complex_lam = np.iscomplexobj(np.asarray(lam)) and np.imag(lam) != 0
+    matrix = np.divide(kern, -(lam if complex_lam else np.real(lam)))  # -K/lambda
+    matrix.flat[:: total + 1] += 1.0
     return NystromSystem(sys=sys, theta=theta, grid=grid, lam=lam,
                          matrix=matrix, kernel=kern, offsets=offsets,
                          rad_nodes=rad_nodes)
@@ -275,13 +292,18 @@ def extreme_singular_values(ns: NystromSystem):
     low numerical rank.  A randomized range finder (Halko-Martinsson-Tropp,
     SIAM Rev. 2011) with a fixed seed grows an orthonormal Q, SKETCH_BLOCK
     columns at a time, until ``err = ||K - Q W||_F <= SKETCH_TOL max(1,
-    ||K||_F)`` with W = Q^H K, or until Q spans the whole space.  On the
-    span P of [Q, W^H] the operator Id - Q W acts as B = I - (P^H Q)(W P),
-    and as the identity on its complement, so its singular values are those
-    of B plus 1 repeated N - dim P times.  When dim P < N, dim P is twice
-    the k columns of Q, so B fixes the null space of the k x dim P matrix
-    W P and its extremes already bracket 1.  By Weyl's inequality each
-    differs from the dense value by at most err.
+    ||K||_F)`` with W = Q^H K, or until Q spans the whole space.  The rows
+    of W are the products block^H (K - Q Q^H K) that deflate the residual.
+
+    Split W^H = Q (W Q)^H + X with X orthogonal to Q and X = V R its QR
+    factorization.  On the span P of [Q, V] the operator Id - Q W acts as
+    B = [[I - W Q, -R^H], [0, I]], and as the identity on the complement,
+    so its singular values are those of B plus 1 repeated N - dim P times.
+    B depends on V only through R^H R = X^H X, so a rank-deficient X needs
+    no care.  When Q does not span the whole space, B fixes the null space
+    of [W Q, R^H] (k equations in 2k unknowns), so its extremes already
+    bracket 1; when it does, B = I - W Q.  By Weyl's inequality each
+    extreme differs from the dense value by at most err.
     """
     A = ns.kernel  # real; K = A / lam
     N = A.shape[0]
@@ -289,7 +311,8 @@ def extreme_singular_values(ns: NystromSystem):
     target = SKETCH_TOL * max(abs(lam), np.linalg.norm(A))
     rng = np.random.default_rng(0)
     Q = np.empty((N, 0))
-    resid = A
+    rows = []  # block^T (A - Q Q^T A) = block^T A, the rows of Q^T A
+    resid = A.copy()  # deflated in place
     while True:
         k = Q.shape[1]
         Y = resid @ rng.standard_normal((N, min(SKETCH_BLOCK, N - k)))
@@ -297,13 +320,21 @@ def extreme_singular_values(ns: NystromSystem):
         # even where Y is rank deficient
         block = np.linalg.qr(np.hstack([Q, Y]))[0][:, k:]
         Q = np.hstack([Q, block])
-        resid = resid - block @ (block.T @ resid)
+        rows.append(block.T @ resid)
+        resid -= block @ rows[-1]
         err = np.linalg.norm(resid)
         if err <= target or Q.shape[1] == N:
             break
-    W = (Q.T @ A) / lam
-    P = np.linalg.qr(np.hstack([Q, W.conj().T]))[0]
-    B = np.eye(P.shape[1]) - (P.conj().T @ Q) @ (W @ P)
+    W = np.vstack(rows) / lam
+    WQ = W @ Q
+    k = Q.shape[1]
+    if k == N:
+        B = np.eye(N) - WQ
+    else:
+        R = np.linalg.qr(W.conj().T - Q @ WQ.conj().T, mode="r")
+        B = np.eye(2 * k, dtype=W.dtype)
+        B[:k, :k] -= WQ
+        B[:k, k:] -= R.conj().T
     svals = np.linalg.svd(B, compute_uv=False)
     return float(svals[-1]), float(svals[0]), float(err / abs(lam))
 
@@ -337,7 +368,8 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None,
     nu = compute_nu(psi, c, theta)
     ns = assemble_K(sys, theta, size=size, lam=1.0)
 
-    rhs = ns.stack([nu.piece_smooth(j, ns.grid.nodes[j]) for j in range(sys.n)])
+    rhs = ns.stack([cheb.chebU_nodal(nu.coeffs[j], m)
+                    for j, m in enumerate(ns.grid.sizes)])
     real_data = psi.field == "real"
     if real_data:
         rhs = rhs.real
@@ -360,7 +392,8 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None,
     smooth = []
     for j in range(sys.n):
         z = sys.from_unit(j, cheb.cheb2_nodes(nmodes))
-        p = nu.piece_smooth(j, z) + ns.kernel_apply_smooth(sol, j, z) / ns.lam
+        p = cheb.chebU_nodal(nu.coeffs[j], nmodes) + ns.kernel_apply_smooth(
+            sol, j, z) / ns.lam
         smooth.append(np.real(p) if real_data else p)
     phi = PiecewiseFunction.from_smooth_values(sys, smooth, weighted=True)
 
@@ -382,8 +415,8 @@ def _piece_integral(pf: PiecewiseFunction, k, m, fn):
     size = _cross_nodes(sys, k, m, pf.coeffs[k].shape[0])
     if pf.weighted:
         grid = chebyshev2_grid(sys, size)
-        x = grid.nodes[k]
-        return np.sum(grid.sqrt_weights[k] * pf.piece_smooth(k, x) * fn(x))
+        smooth = cheb.chebU_nodal(pf.coeffs[k], size)
+        return np.sum(grid.sqrt_weights[k] * smooth * fn(grid.nodes[k]))
     grid = legendre_grid(sys, size)
     x = grid.nodes[k]
     return np.sum(grid.weights[k] * pf.piece_values(k, x) * fn(x))
@@ -478,13 +511,11 @@ def _j_form(theta, fs, gs):
             grid = chebyshev2_grid(sys, _cross_nodes(sys, j, k, b.shape[1]))
             x = grid.nodes[j]
             s = sys.to_unit(k, x)
-            # the series helpers broadcast one coefficient row per pair
-            on_pairs = (len(fs), x.size)
-            deriv = -cheb.fht_weighted_offcut(
-                da.T[:, :, None], np.broadcast_to(joukowski_exterior(s), on_pairs)
-            ) / unit_radical(s)
-            g = cheb.clenshaw_U(b.T[:, :, None],
-                                np.broadcast_to(sys.to_unit(j, x), on_pairs))
+            # u_k^{-(n+1)} for every mode n, one row each
+            upows = np.cumprod(np.broadcast_to(1.0 / joukowski_exterior(s),
+                                               (da.shape[1], x.size)), axis=0)
+            deriv = (da @ upows) / unit_radical(s)
+            g = cheb.chebU_nodal(b, x.size)
             out -= theta[j, k] * (np.conj(g) * deriv) @ grid.sqrt_weights[j]
     return np.real(out)
 

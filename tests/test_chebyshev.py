@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from mifht.chebyshev import (
     chebU_coeffs,
     chebU_first_moment,
     chebU_integral,
+    chebU_nodal,
     chebU_to_T,
     clenshaw_T,
     clenshaw_U,
@@ -83,6 +85,53 @@ def test_coefficient_maps_match_direct_sums(N):
     assert np.max(np.abs(chebT_coeffs(v) - b)) <= 1e-12 * np.max(np.abs(b))
     assert np.max(np.abs(chebU_coeffs(v) - a)) <= 1e-12 * np.max(np.abs(a))
     assert np.isrealobj(chebT_coeffs(v[0].real)) and np.isrealobj(chebU_coeffs(v[0].real))
+
+
+def _u_sum_mpmath(a, N):
+    """sum_k a_k sin((k+1) t_q) / sin(t_q) at 40 digits, ascending nodes."""
+    with mpmath.workdps(40):
+        out = []
+        for q in range(N, 0, -1):
+            t = mpmath.pi * q / (N + 1)
+            out.append(sum(mpmath.mpmathify(complex(ak)) * mpmath.sin((k + 1) * t)
+                           for k, ak in enumerate(a)) / mpmath.sin(t))
+        return np.array([complex(v) for v in out])
+
+
+NODAL_CASES = {  # modes K, nodes N, complex coefficients
+    "K<N": (9, 32, False),
+    "K=N": (33, 33, False),
+    "K>N-folded": (150, 40, False),
+    "K>>N-folded-twice": (90, 13, False),
+    "complex": (60, 64, True),
+    "N=1": (7, 1, False),
+    "long": (300, 256, False),
+}
+
+
+@pytest.mark.parametrize("case", NODAL_CASES)
+def test_chebU_nodal_matches_mpmath(case):
+    K, N, cplx = NODAL_CASES[case]
+    rng = np.random.default_rng(K * 1000 + N)
+    a = rng.standard_normal(K) + (1j * rng.standard_normal(K) if cplx else 0.0)
+    ref = _u_sum_mpmath(a, N)
+    got = chebU_nodal(a, N)
+    assert got.shape == (N,) and np.iscomplexobj(got) == cplx
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_chebU_nodal_batched_rows():
+    # rows of a stacked (2, 3, K) block evaluate like each row alone, and
+    # like the Clenshaw sum at the nodes
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 3, 20)) + 1j * rng.standard_normal((2, 3, 20))
+    got = chebU_nodal(a, 16)
+    assert got.shape == (2, 3, 16)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(got[i, j], chebU_nodal(a[i, j], 16))
+            ref = clenshaw_U(a[i, j], cheb2_nodes(16))
+            assert np.max(np.abs(got[i, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_u_to_t_conversion():

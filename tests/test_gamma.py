@@ -343,11 +343,36 @@ def test_resolvent_matrix_entries_match_resolvent_kernel(sys2, theta2):
             continue
         expect = gam.resolvent_kernel(nodes[i], nodes[q]) * sw[q] / wt[i]
         assert abs(R[i, q] - expect) <= 1e-10 * abs(expect)
-    # the coincidence diagonal is a +-1e-6 half finite difference: its
-    # rounding error is ~eps / 1e-6 relative, whatever the evaluation order
+    # the coincidence diagonal is the exact limit -A'(z) (Gamma f)(z) / (2 pi i)
     for i in (0, 17, nodes.size - 1):
         lim = gam.resolvent_kernel(nodes[i], nodes[i], limit=True) * sw[i] / wt[i]
-        assert abs(R[i, i] - lim) <= 1e-7 * abs(lim)
+        assert abs(R[i, i] - lim) <= 1e-12 * abs(lim)
+
+
+@pytest.mark.parametrize("k, lo, hi", [(0, -0.5, 0.3), (1, 0.1, 0.9)])
+def test_gtinv_derivative_matches_interpolant_derivative(gamma2, sys2, k, lo, hi):
+    # A = g^t Gamma^{-1} is analytic inside I_k: differentiate a degree-24
+    # Chebyshev interpolant of it on [lo, hi] (unit coordinates of I_k)
+    a, b = sys2.from_unit(k, lo), sys2.from_unit(k, hi)
+    cheb = np.polynomial.chebyshev
+    t = np.cos(np.pi * (np.arange(25) + 0.5) / 25)
+    A = gamma2.gtinv(k, 0.5 * (a + b) + 0.5 * (b - a) * t)
+    slope = cheb.chebder(cheb.chebfit(t, A, 24)) * (2.0 / (b - a))
+    tt = np.linspace(-0.9, 0.9, 9)
+    expect = cheb.chebval(tt, slope).T
+    got = gamma2.gtinv_derivative(k, 0.5 * (a + b) + 0.5 * (b - a) * tt)
+    assert np.max(np.abs(got - expect)) <= 1e-11 * np.max(np.abs(expect))
+
+
+def test_resolvent_targets_on_the_nodes_take_the_exact_limit(sys2, theta2, rt2):
+    # nmodes = the grid size puts every target on a node; the interpolated
+    # result must agree with an off-node target set
+    gam = build_gamma(sys2, theta2, size=40)
+    nu = rt2[3]
+    on = gam.apply_resolvent(nu, nmodes=40)
+    off = gam.apply_resolvent(nu, nmodes=57)
+    x = interior_points(sys2, 15)
+    assert np.max(np.abs(on(x) - off(x))) <= 1e-10 * np.max(np.abs(off(x)))
 
 
 # -- inversion via the resolvent --------------------------------------------------

@@ -6,7 +6,15 @@ import pytest
 import mifht.gamma
 import mifht.uniform
 from mifht import DegenerateDiagonalError, RangeViolationError, SchemaError
+from mifht.chebyshev import (
+    PiecewiseFunction,
+    cheb2_nodes,
+    clenshaw_U,
+    fht_weighted_offcut,
+)
 from mifht.cli import main as cli_main
+from mifht.gamma import build_gamma
+from mifht.intervals import joukowski_exterior, radical_eval, unit_radical
 from mifht.problems import (
     ProblemSpec,
     ResultBundle,
@@ -15,6 +23,15 @@ from mifht.problems import (
     read_table,
     run_command,
     write_bundle,
+)
+from mifht.quadrature import chebyshev2_grid
+from mifht.solver import (
+    _cross_nodes,
+    assemble_K,
+    compute_c,
+    compute_nu,
+    random_sqrt_vanishing,
+    solve_phi,
 )
 
 MINIMAL = """
@@ -191,6 +208,195 @@ def test_gamma_check_evaluates_gamma_in_batches(monkeypatch):
     for key in ("jump_residual", "det_drift", "nojump_gamma_f", "nojump_gt_gamma_inv"):
         assert bundle.diagnostics[key]["pass"] is True
     assert len(calls) <= 6
+
+
+def test_range_check_evaluates_gamma_once_per_node_set(monkeypatch):
+    """One eval at the Nystrom nodes, shared by N2, L1 and the resolvent,
+    and one at the resolvent's targets."""
+    calls = []
+    evaluate = mifht.gamma.GammaSolution.eval
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(mifht.gamma.GammaSolution, "eval", counted)
+    bundle = run_command(parse_problem(SPD2.replace("command = invert",
+                                                    "command = range-check")))
+    assert bundle.diagnostics["in_range"] is True
+    assert "predicted_c_symmetric" in bundle.diagnostics
+    assert len(calls) <= 2 * 2
+
+
+N3_SPD = """
+command = invert
+intervals = (-3,-2) (-1,0) (1,3)
+theta = [[1,0.5,0.5],[0.5,1,0.5],[0.5,0.5,1]]
+rhs = forward-of random-sqrt 16
+nystrom = 48
+seed = 1
+"""
+
+
+COINCIDENT_INVERTS = {"n2-128": (SPD2, 128), "n2-512": (SPD2, 512),
+                      "n3-65": (N3_SPD, 65), "n3-74": (N3_SPD, 74)}
+
+
+@pytest.mark.parametrize("case", COINCIDENT_INVERTS)
+def test_spd_invert_with_resolvent_targets_on_nodes(case):
+    # gcd(nystrom + 1, 33) > 1: the resolvent targets cheb2_nodes(nystrom + 33)
+    # meet Nystrom nodes, exactly or (n3 at 65 and 74) 1 ulp apart, and those
+    # terms take the exact coincidence limit
+    text, nystrom = COINCIDENT_INVERTS[case]
+    assert np.gcd(nystrom + 1, 33) > 1
+    bundle = run_command(parse_problem(text.replace("nystrom = 48",
+                                                    f"nystrom = {nystrom}")))
+    assert bundle.diagnostics["two_path_discrepancy"]["value"] <= 1e-10
+
+
+# -- per-point references for the command diagnostics ---------------------------
+#
+# Each reference evaluates Gamma one point at a time and every U series by
+# the Clenshaw recurrence, in the form the formulas are written in.
+
+
+def _ref_gtinv(gam, x):
+    return gam.kernel.g_vector(x) @ np.linalg.inv(gam.eval(x, side=1))
+
+
+def _ref_resolvent(gam, nu, nmodes):
+    """hat R nu, one target at a time: -(1/pi) sum sw p (A(x) - A(z)) Gamma_m(z) / (z - x)."""
+    sys, grid = gam.sys, gam.nystrom.grid
+    Ax = [np.array([_ref_gtinv(gam, x) for x in xs]) for xs in grid.nodes]
+    p = [nu.piece_smooth(k, xs) for k, xs in enumerate(grid.nodes)]
+    smooth = []
+    for m in range(sys.n):
+        vals = []
+        for z in sys.from_unit(m, cheb2_nodes(nmodes)):
+            G = gam.eval(z, side=1)
+            Az = gam.kernel.g_vector(z) @ np.linalg.inv(G)
+            vals.append(-sum(
+                np.sum(grid.sqrt_weights[k] * p[k] * ((Ax[k] - Az) @ G[:, m])
+                       / (z - grid.nodes[k])) for k in range(sys.n)) / np.pi)
+        smooth.append(np.real(vals))
+    return PiecewiseFunction.from_smooth_values(sys, smooth, weighted=True)
+
+
+def _ref_range2(theta, phi):
+    """(1/pi) sum_{k != m} theta_mk int_{I_k} phi_k / R_m, per m."""
+    sys = phi.sys
+    out = np.zeros(sys.n)
+    for m in range(sys.n):
+        for k in range(sys.n):
+            if k == m:
+                continue
+            grid = chebyshev2_grid(sys, _cross_nodes(sys, k, m, phi.coeffs[k].size))
+            x = grid.nodes[k]
+            out[m] += theta[m, k] * np.sum(grid.sqrt_weights[k] * phi.piece_smooth(k, x)
+                                           / radical_eval(sys, m, x).real)
+    return out / np.pi
+
+
+def _ref_range_check(spec):
+    sys, theta = spec.system(), spec.theta_matrix()
+    psi = build_rhs(spec, sys, theta)
+    c = compute_c(psi)
+    nu = compute_nu(psi, c, theta)
+    gam = build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
+    grid = gam.nystrom.grid
+    corr = _ref_resolvent(gam, nu, max(grid.sizes) + 33)
+    general = _ref_range2(theta, nu) + _ref_range2(theta, corr)
+    symmetric = np.zeros(sys.n)
+    integrable = np.pi * c
+    for k in range(sys.n):
+        for x, sw in zip(grid.nodes[k], grid.sqrt_weights[k]):
+            p = nu.piece_smooth(k, x)
+            ginv = np.linalg.inv(gam.eval(x, side=1))
+            symmetric = symmetric + np.diag(theta.entries) / np.pi * sw * p * np.real(
+                _ref_gtinv(gam, x))
+            for m in range(sys.n):
+                chain = sum(theta[k, a] / (theta[k, k] * theta[a, a]) * ginv[a, m]
+                            / radical_eval(sys, a, x).real
+                            for a in range(sys.n) if a != k)
+                integrable[m] += theta[m, m] * np.real(sw * (-theta[k, k] * p * chain))
+    return general, symmetric, integrable
+
+
+RANGE_CASES = {
+    "n2-in-range": SPD2.replace("command = invert", "command = range-check"),
+    "n3-bump": ("command = range-check\nintervals = (-3,-2) (-1,0) (1,3)\n"
+                "theta = [[1,0.5,0.3],[0.5,1,0.4],[0.3,0.4,1]]\n"
+                "rhs = gaussian-bump 0 1.5\nmodes = 24\nnystrom = 40\n"),
+}
+
+
+@pytest.mark.parametrize("case", RANGE_CASES)
+def test_range_check_diagnostics_match_per_point_reference(case):
+    spec = parse_problem(RANGE_CASES[case])
+    d = run_command(spec).diagnostics
+    general, symmetric, integrable = _ref_range_check(spec)
+    np.testing.assert_allclose(d["predicted_c_general"], general, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(d["predicted_c_symmetric"], symmetric, rtol=0, atol=1e-13)
+    assert abs(d["integrable_residual"]["value"] - np.max(np.abs(integrable))) <= 1e-13
+
+
+def test_invert_diagnostics_match_per_point_reference():
+    spec = parse_problem(SPD2)
+    bundle = run_command(spec)
+    d = bundle.diagnostics
+    sys, theta = spec.system(), spec.theta_matrix()
+    psi = build_rhs(spec, sys, theta)
+    res = solve_phi(theta, psi, size=spec.param("nystrom"), nmodes=spec.param("modes"))
+    nu = compute_nu(psi, res.c, theta)
+    gam = build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
+    phi_r = nu + _ref_resolvent(gam, nu, spec.param("nystrom") + 33)
+    table = np.array(bundle.tables["phi_resolvent"])
+    ref = np.real(phi_r(table[:, 1]))
+    assert np.max(np.abs(table[:, 2] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    x = np.concatenate([sys.from_unit(j, np.linspace(-0.95, 0.95, 24))
+                        for j in range(sys.n)])
+    disc = np.max(np.abs(res.phi(x) - phi_r(x)))
+    assert abs(d["two_path_discrepancy"]["value"] - disc) <= 1e-13
+    range2 = np.max(np.abs(_ref_range2(theta, res.phi) - res.c))
+    assert abs(d["range2_residual"]["value"] - range2) <= 1e-13
+    dense = np.linalg.svd(gam.nystrom.matrix, compute_uv=False)
+    assert abs(d["sigma_min"] - dense[-1]) <= 1e-13
+
+
+def _ref_j(theta, f):
+    """J(f, f) with Clenshaw values of g and the exterior series summed term by term."""
+    sys = f.sys
+    total = 0.0
+    for k in range(sys.n):
+        da = f.coeffs[k] * np.arange(1, f.coeffs[k].size + 1)
+        for j in range(sys.n):
+            b = f.coeffs[j]
+            if j == k:
+                total += theta[k, k] * 0.5 * np.pi * sys.half[k] ** 2 * np.sum(da * b)
+                continue
+            grid = chebyshev2_grid(sys, _cross_nodes(sys, j, k, b.size))
+            x = grid.nodes[j]
+            s = sys.to_unit(k, x)
+            deriv = -fht_weighted_offcut(da, joukowski_exterior(s)) / unit_radical(s)
+            g = clenshaw_U(b, sys.to_unit(j, x))
+            total -= theta[j, k] * np.sum(grid.sqrt_weights[j] * g * deriv)
+    return float(np.real(total))
+
+
+def test_injectivity_diagnostics_match_per_point_reference():
+    spec = parse_problem("command = injectivity-report\n"
+                         "intervals = (-3,-2) (-1,0) (1,3)\n"
+                         "theta = [[1,0.5,0.3],[0.5,1,0.4],[0.3,0.4,1]]\n"
+                         "nystrom = 40\nseed = 5\n")
+    d = run_command(spec).diagnostics
+    sys, theta = spec.system(), spec.theta_matrix()
+    rng = np.random.default_rng(5)
+    fs = [random_sqrt_vanishing(sys, modes=16, rng=rng) for _ in range(20)]
+    ratio = min(_ref_j(theta, f) / f.norm2() ** 2 for f in fs)
+    assert abs(d["j_over_norm_min"] - ratio) <= 1e-13 * abs(ratio)
+    dense = np.linalg.svd(assemble_K(sys, theta, size=40).matrix, compute_uv=False)
+    assert abs(d["sigma_min"] - dense[-1]) <= 1e-13
+    assert abs(d["sigma_max"] - dense[0]) <= 1e-13
 
 
 def test_serialization_round_trip(tmp_path):

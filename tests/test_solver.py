@@ -158,6 +158,46 @@ def test_assemble_large_lambda_is_identity(sys2, theta2):
     np.testing.assert_allclose(ns.matrix, np.eye(ns.size), atol=1e-11)
 
 
+@pytest.mark.parametrize("lam", [1.0, -2.0, 0.7 + 0.4j])
+def test_assembled_matrix_is_identity_minus_kernel_over_lambda(sys3, theta3, lam):
+    ns = assemble_K(sys3, theta3, size=20, lam=lam)
+    np.testing.assert_array_equal(ns.matrix, np.eye(ns.size) - ns.kernel / lam)
+    assert np.iscomplexobj(ns.matrix) == isinstance(lam, complex)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_apply_smooth_block_matches_per_column_sums(request, n):
+    # K v at off-grid targets of each interval, from the kernel's definition
+    # theta_jk sw v / (pi theta_jj R_j(x) (x - z)) one column at a time
+    sys = request.getfixturevalue(f"sys{n}")
+    theta = request.getfixturevalue(f"theta{n}")
+    ns = assemble_K(sys, theta, size=24, lam=1.0)
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((ns.size, 3)) + 1j * rng.standard_normal((ns.size, 3))
+    block[:, 0] = block[:, 0].real
+    for j in range(n):
+        z = sys.from_unit(j, np.linspace(-0.97, 0.97, 11))
+        got = ns.kernel_apply_smooth(block, j, z)
+        assert got.shape == (z.size, 3)
+        for r in range(3):
+            ref = np.zeros(z.size, dtype=complex)
+            for k in range(n):
+                if k == j:
+                    continue
+                x = ns.grid.nodes[k]
+                v = ns.split(block[:, r])[k] * ns.grid.sqrt_weights[k]
+                rj = radical_eval(sys, j, x).real
+                for i, zi in enumerate(z):
+                    ref[i] += np.sum(theta[j, k] * v / (np.pi * theta[j, j] * rj * (x - zi)))
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got[:, r] - ref)) <= 1e-14 * scale
+            column = ns.kernel_apply_smooth(block[:, r], j, z)
+            assert np.max(np.abs(column - ref)) <= 1e-14 * scale
+        real = ns.kernel_apply_smooth(block[:, 0].real, j, z)
+        assert np.isrealobj(real)
+        assert np.max(np.abs(real - got[:, 0])) <= 1e-14 * np.max(np.abs(got[:, 0]))
+
+
 def test_assemble_errors(sys2):
     with pytest.raises(ZeroLambdaError):
         assemble_K(sys2, ThetaMatrix([[1.0, 0.2], [0.2, 1.0]]), lam=0.0, size=8)
