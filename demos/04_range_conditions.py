@@ -42,7 +42,7 @@ print("predicted (general):", np.round(pred_gen.real, 10))
 print(f"defects: {np.max(np.abs(pred_sym - c)):.2e} / "
       f"{np.max(np.abs(pred_gen - c)):.2e}  -> psi is in range")
 
-l1 = range_check_L1_variant(psi, gamma, theta)
+l1 = range_check_L1_variant(psi, c, nu, gamma, theta)
 print(f"integrable-data residual: {np.max(np.abs(l1['integrable'])):.2e}")
 
 # push the data off the range: add a constant to one component only of a

@@ -171,6 +171,28 @@ def chebU_first_moment(a):
 # spectral Hilbert-transform kernels (unit interval)
 
 
+def exterior_powers(u, K):
+    """The (K,) + u.shape table of u^{-(k+1)}, k = 0..K-1.
+
+    Built by doubling: rows [m, 2m) are rows [0, m) times u^{-m}, so an
+    entry is a product of at most log2(K) + 1 factors.  The multipliers
+    u^{-1}, u^{-2}, u^{-4}, ... are squared in extended precision
+    (``np.clongdouble``) and rounded once to double, since squaring in
+    double would amplify the rounding of 1/u K-fold.
+    """
+    u = np.asarray(u)
+    out = np.empty((K,) + u.shape, dtype=complex)
+    mult = 1.0 / u.astype(np.clongdouble)  # u^{-m}
+    out[:1] = mult
+    m = 1
+    while m < K:
+        step = min(m, K - m)
+        np.multiply(out[:step], mult.astype(complex), out=out[m: m + step])
+        mult = mult * mult
+        m += step
+    return out
+
+
 def fht_weighted_offcut(a, u):
     """-(sum_k a_k u^{-(k+1)}) for the weighted class; valid anywhere.
 
@@ -178,14 +200,7 @@ def fht_weighted_offcut(a, u):
     chosen when the target sits on the cut).
     """
     a = np.asarray(a)
-    u = np.asarray(u)
-    invu = 1.0 / u
-    acc = np.zeros(u.shape, dtype=complex)
-    upow = invu.copy()
-    for coef in a:
-        acc += coef * upow
-        upow = upow * invu
-    return -acc
+    return -np.tensordot(a, exterior_powers(u, a.shape[0]), axes=1)
 
 
 def fht_weighted_pv(a, s):
@@ -221,43 +236,30 @@ def fht_plain_pv(b, s):
     return acc
 
 
-def inverse_weighted_pv(b, s):
-    """PV transform against 1/w: (1/pi) PV int p/(w (t-s)) dt = sum b_n U_{n-1}(s)."""
-    b = np.asarray(b)
-    if b.shape[0] <= 1:
-        return np.zeros(np.shape(s))
-    return clenshaw_U(b[1:], s)
-
-
-def inverse_weighted_offcut(b, u, runit):
-    """(1/pi) int p/(w (t-z)) dt = -(sum b_n u^{-n}) / sqrt(z^2-1) off the cut."""
-    b = np.asarray(b)
-    u = np.asarray(u)
-    invu = 1.0 / u
-    acc = np.full(u.shape, complex(b[0]))
-    upow = invu.copy()
-    for coef in b[1:]:
-        acc = acc + coef * upow
-        upow = upow * invu
-    return -acc / runit
-
-
 @lru_cache(maxsize=8)
 def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def cauchy_plain_offcut(eval_fn, targets, rho_min=1.9, order=32, max_depth=14):
+# panel quadrature of cauchy_plain_offcut: Bernstein parameter a panel needs,
+# Gauss-Legendre order per panel, and bisection depth limit
+PANEL_RHO = 1.9
+PANEL_ORDER = 32
+PANEL_MAX_DEPTH = 14
+
+
+def cauchy_plain_offcut(eval_fn, targets):
     """(1/pi) int_{-1}^{1} p(t)/(t - z) dt for targets z off the cut.
 
     Panel bisection: a panel is integrated with Gauss-Legendre once every
-    target is outside its Bernstein ellipse of parameter ``rho_min``; the
-    geometric convergence rate then bounds the error at ~rho_min^(-2*order).
-    Targets closer than ~2^-max_depth to [-1, 1] lose accuracy gracefully.
+    target is outside its Bernstein ellipse of parameter ``PANEL_RHO``; the
+    geometric convergence rate then bounds the error at
+    ~PANEL_RHO^(-2 PANEL_ORDER).  Targets closer than ~2^-PANEL_MAX_DEPTH to
+    [-1, 1] lose accuracy gracefully.
     """
     targets = np.asarray(targets, dtype=complex)
     out = np.zeros(targets.shape, dtype=complex)
-    xg, wg = _gauss_legendre(order)
+    xg, wg = _gauss_legendre(PANEL_ORDER)
 
     stack = [(-1.0, 1.0, 0)]
     while stack:
@@ -266,7 +268,7 @@ def cauchy_plain_offcut(eval_fn, targets, rho_min=1.9, order=32, max_depth=14):
         hw = 0.5 * (b - a)
         sp = (targets - mid) / hw
         rho = np.min(np.abs(joukowski_exterior(sp)))
-        if rho >= rho_min or depth >= max_depth:
+        if rho >= PANEL_RHO or depth >= PANEL_MAX_DEPTH:
             nodes = mid + hw * xg
             vals = eval_fn(nodes) * (hw * wg)
             out += (vals[:, None] / (nodes[:, None] - targets.ravel()[None, :])
@@ -435,10 +437,6 @@ class PiecewiseFunction:
 
     def __truediv__(self, scalar):
         return self * (1.0 / scalar)
-
-    def real_part(self):
-        return PiecewiseFunction(self.sys, [np.real(c) for c in self.coeffs],
-                                 weighted=self.weighted, field="real")
 
     def shift_piece_constants(self, cvec):
         """Subtract a constant per interval (plain tag only)."""

@@ -51,6 +51,8 @@ from .solver import (
 
 # targets per row chunk of the resolvent projection
 RESOLVENT_CHUNK = 64
+# largest number of U modes in the density series of Gamma
+GAMMA_MAX_MODES = 128
 
 
 class IntegrableKernelData:
@@ -174,8 +176,7 @@ class GammaSolution:
     valid on and off the cut (with a side selector on the cut).
     """
 
-    def __init__(self, nystrom: NystromSystem, kernel: IntegrableKernelData,
-                 nmodes=None):
+    def __init__(self, nystrom: NystromSystem, kernel: IntegrableKernelData):
         ns = nystrom
         self.sys = ns.sys
         self.theta = ns.theta
@@ -183,9 +184,7 @@ class GammaSolution:
         self.kernel = kernel
         self.nystrom = ns
         n = self.sys.n
-        if nmodes is None:
-            nmodes = min(128, max(ns.grid.sizes))
-        self.nmodes = nmodes
+        nmodes = min(GAMMA_MAX_MODES, max(ns.grid.sizes))
 
         smooth, values, self.f_residual = compute_F(ns, kernel)
         self.F_smooth_nodes = smooth
@@ -241,12 +240,12 @@ class GammaSolution:
             rad = unit_radical(s, side)
             D = self.density[l]
             K = D.shape[2]
-            upows = np.cumprod(np.broadcast_to(1.0 / (s + rad), (K, pts.size)), axis=0)
+            powers = cheb.exterior_powers(s + rad, K)
             if derivative:
-                Cl = np.tensordot(D * np.arange(1, K + 1), upows, axes=([2], [0])) / rad
+                Cl = np.tensordot(D * np.arange(1, K + 1), powers, axes=1) / rad
                 out += (0.5j / self.lam) * np.moveaxis(Cl, 2, 0)
             else:
-                Cl = np.tensordot(D, upows, axes=([2], [0]))  # (n,n,P)
+                Cl = np.tensordot(D, powers, axes=1)  # (n,n,P)
                 out -= (0.5j * self.sys.half[l] / self.lam) * np.moveaxis(Cl, 2, 0)
         return out
 
@@ -461,16 +460,15 @@ class GammaSolution:
         return PiecewiseFunction.from_smooth_values(sys, smooth, weighted=True)
 
 
-def build_gamma(sys: IntervalSystem, theta, lam=1.0, size=96, nmodes=None
-                ) -> GammaSolution:
+def build_gamma(sys: IntervalSystem, theta, lam=1.0, size=96) -> GammaSolution:
     """Assemble the Nystrom system and construct Gamma(z; lambda)."""
     theta = as_theta(theta)
     ns = assemble_K(sys, theta, size=size, lam=lam)
     kd = build_kernel_vectors(sys, theta)
-    return GammaSolution(ns, kd, nmodes=nmodes)
+    return GammaSolution(ns, kd)
 
 
-def invert_via_resolvent(theta, psi: PiecewiseFunction, size=96, nmodes=None,
+def invert_via_resolvent(theta, psi: PiecewiseFunction, size=96,
                          gamma: GammaSolution = None):
     """phi = nu + hat R(1) nu through the resolvent representation.
 
@@ -482,7 +480,7 @@ def invert_via_resolvent(theta, psi: PiecewiseFunction, size=96, nmodes=None,
     nu = compute_nu(psi, c, theta)
     if gamma is None:
         gamma = build_gamma(psi.sys, theta, lam=1.0, size=size)
-    corr = gamma.apply_resolvent(nu, nmodes=nmodes)
+    corr = gamma.apply_resolvent(nu)
     phi = nu + corr
     return phi, c, gamma
 
@@ -541,21 +539,21 @@ def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolu
     return out
 
 
-def range_condition_J12(theta, nu: PiecewiseFunction, gamma: GammaSolution,
-                        nmodes=None):
+def range_condition_J12(theta, nu: PiecewiseFunction, gamma: GammaSolution):
     """Predicted c for general invertible-diagonal theta: c = J_1 + J_2.
 
     J_1 is the direct moment of nu; J_2 carries the resolvent correction.
     Together they equal the second-condition moment of nu + hat R nu.
     """
     theta = as_theta(theta)
-    corr = gamma.apply_resolvent(nu, nmodes=nmodes)
+    corr = gamma.apply_resolvent(nu)
     j1 = _range2_moments(theta, nu)
     j2 = _range2_moments(theta, corr)
     return j1 + j2
 
 
-def range_check_L1_variant(psi: PiecewiseFunction, gamma: GammaSolution, theta):
+def range_check_L1_variant(psi: PiecewiseFunction, c, nu: PiecewiseFunction,
+                           gamma: GammaSolution, theta):
     """Residuals of the integrable-data range identity, per component.
 
     For R^{-1} psi in L^1 the second condition collapses to
@@ -565,12 +563,11 @@ def range_check_L1_variant(psi: PiecewiseFunction, gamma: GammaSolution, theta):
         H_k[psi_k / R_{k+}] dx  =  0,
 
     and for c[psi] = 0 to the vanishing of the plain Gamma-weighted moments
-    of H_k^{-1}[psi_k].  Returns dict with 'integrable' and (when
+    of H_k^{-1}[psi_k].  ``c`` and ``nu`` are ``compute_c(psi)`` and
+    ``compute_nu(psi, c, theta)``.  Returns dict with 'integrable' and (when
     applicable) 'zero_shift' residual vectors.
     """
     theta = as_theta(theta)
-    c = compute_c(psi)
-    nu = compute_nu(psi, c, theta)
     # on I_k the bracket is i w_k chain_m with chain_m = sum_{a != k}
     # theta_ka Gamma^{-1}_am / (theta_kk theta_aa R_a), and H_k[psi_k/R_{k+}]
     # = i theta_kk nu_k; their product is -w_k nu_k n_m with n_m = theta_kk

@@ -66,7 +66,6 @@ _DEFAULTS = {
     "nystrom": 96,
     "tmax": 32.0,
     "dt": 1.0 / 64.0,
-    "range_tol": 1e-8,
     "lambda": complex(1.0, 0.0),
     "seed": 1234,
     "tol": 1e-6,
@@ -153,7 +152,7 @@ def parse_problem(source) -> ProblemSpec:
 
     params = {}
     numeric = {"modes": int, "nystrom": int, "tmax": float, "dt": float,
-               "range_tol": float, "seed": int, "tol": float}
+               "seed": int, "tol": float}
     for key, conv in numeric.items():
         val = take(key)
         if val is not None:
@@ -322,11 +321,11 @@ def _check(value, tolerance):
             "pass": bool(value <= tolerance)}
 
 
-def _table(pf: PiecewiseFunction, per_interval=64):
-    """Rows (interval_index, x, re_value, im_value) as one float array."""
+def _table(pf: PiecewiseFunction):
+    """Rows (interval_index, x, re_value, im_value), 64 per interval, as one array."""
     blocks = []
     for j in range(pf.sys.n):
-        x = pf.sys.from_unit(j, np.linspace(-1, 1, per_interval))
+        x = pf.sys.from_unit(j, np.linspace(-1, 1, 64))
         v = np.asarray(pf.piece_values(j, x), dtype=complex)
         blocks.append(np.column_stack([np.full(x.shape, j), x, v.real, v.imag]))
     return np.concatenate(blocks)
@@ -439,7 +438,7 @@ def _cmd_range_check(spec, sys, theta):
         diag["predicted_c_symmetric"] = np.real(cN).tolist()
         diag["symmetric_defect"] = _check(np.max(np.abs(cN - c)),
                                    tol * (1 + np.max(np.abs(c))))
-        l1 = range_check_L1_variant(psi, gam, theta)
+        l1 = range_check_L1_variant(psi, c, nu, gam, theta)
         diag["integrable_residual"] = _check(np.max(np.abs(l1["integrable"])), tol)
         if l1["zero_shift"] is not None:
             diag["zero_shift_residual"] = _check(

@@ -39,10 +39,6 @@ class RangeData:
     c: complex
     kappa: complex
 
-    @property
-    def c_real(self):
-        return float(np.real(self.c))
-
 
 def _classify_points(sys: IntervalSystem, j, points):
     z = np.atleast_1d(np.asarray(points, dtype=complex))
@@ -150,7 +146,7 @@ def _invert_coeffs(f: PiecewiseFunction, j, presubtract=0.0):
 
 
 def fht_invert(g: PiecewiseFunction, points=None, j=0, presubtract=0.0,
-               check_range=True, range_tol=None):
+               check_range=True):
     """Invert the finite Hilbert transform of g_j - presubtract on I_j.
 
     Returns a sqrt-vanishing PiecewiseFunction on [alpha_j, beta_j] when
@@ -161,7 +157,7 @@ def fht_invert(g: PiecewiseFunction, points=None, j=0, presubtract=0.0,
     rd = range_scan(g, j)
     m0_eff = rd.m0 - (-1j * np.pi * presubtract)
     if check_range:
-        tol = range_tol if range_tol is not None else 1e-8 * (1.0 + g.piece_norm2(j))
+        tol = 1e-8 * (1.0 + g.piece_norm2(j))
         if abs(m0_eff) > tol:
             raise RangeError(
                 f"data not in range on interval {j}: |m0| = {abs(m0_eff):.3e} > {tol:.3e}"
@@ -187,20 +183,15 @@ def fht_invert(g: PiecewiseFunction, points=None, j=0, presubtract=0.0,
             out[inside] = result.piece_values(0, z[inside].real)
     if np.any(~inside):
         so = _offcut_arg(s[~inside])
-        u = joukowski_exterior(so)
         if g.weighted:
             p_T = cheb.chebU_to_T(g.coeffs[j])
             cpart = cheb.cauchy_plain_offcut(lambda t: cheb.clenshaw_T(p_T, t), so)
             rad = g.sys.half[j] * unit_radical(so)
             out[~inside] = 1j * rad * cpart + 1j * presubtract
         else:
-            b = np.asarray(g.coeffs[j], dtype=complex).copy()
-            b[0] -= presubtract
-            acc = np.zeros(u.shape, dtype=complex)
-            upow = np.ones_like(acc)
-            for coef in b:
-                acc += coef * upow
-                upow = upow / u
+            b = g.coeffs[j]
+            powers = cheb.exterior_powers(joukowski_exterior(so), b.shape[0] - 1)
+            acc = b[0] - presubtract + np.tensordot(b[1:], powers, axes=1)
             out[~inside] = -1j * acc
     return out if np.ndim(points) else out[0]
 

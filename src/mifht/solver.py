@@ -223,7 +223,7 @@ def _real_matmul(a, b):
     return out.view(complex).reshape(a.shape[:1] + b.shape[1:])
 
 
-def assemble_K(sys: IntervalSystem, theta, grid=None, lam=1.0, size=96) -> NystromSystem:
+def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     """Build the dense (Id - K/lambda) collocation matrix.
 
     Zero diagonal blocks and real entries for real lambda are structural;
@@ -233,10 +233,7 @@ def assemble_K(sys: IntervalSystem, theta, grid=None, lam=1.0, size=96) -> Nystr
     theta.require_invertible_diagonal()
     if lam == 0:
         raise ZeroLambdaError("lambda must be nonzero")
-    if grid is None:
-        grid = chebyshev2_grid(sys, size)
-    if grid.sqrt_weights is None:
-        raise ValueError("Nystrom grid must carry sqrt-absorbing weights")
+    grid = chebyshev2_grid(sys, size)
     sizes = np.array([len(x) for x in grid.nodes])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = offsets[-1]
@@ -283,6 +280,8 @@ def _solve_refined(A, b):
 # relative Frobenius accuracy of the low-rank sketch of K, and its block size
 SKETCH_TOL = 1e-14
 SKETCH_BLOCK = 32
+# sigma_min / sigma_max below which solve_phi calls Id - K singular
+SIGMA_FLOOR = 1e-10
 
 
 def extreme_singular_values(ns: NystromSystem):
@@ -352,8 +351,7 @@ class SolveResult:
     diagnostics: dict
 
 
-def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None,
-              sigma_floor=1e-10) -> SolveResult:
+def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResult:
     """Nystrom solution of (Id - K) phi = nu with diagnostics.
 
     Diagnostics: linear-system residual, smallest singular value, and the
@@ -375,7 +373,7 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None,
         rhs = rhs.real
 
     sigma_min, sigma_max, _ = extreme_singular_values(ns)
-    if sigma_min < sigma_floor * sigma_max:
+    if sigma_min < SIGMA_FLOOR * sigma_max:
         raise NearSingularError(
             f"Id - K numerically singular: sigma_min = {sigma_min:.3e}")
     sol = _solve_refined(ns.matrix, rhs)
@@ -412,14 +410,15 @@ def _piece_integral(pf: PiecewiseFunction, k, m, fn):
     fn is analytic off I_m, so the size is that of ``_cross_nodes``.
     """
     sys = pf.sys
+    sub = IntervalSystem([sys.endpoints[k]])
     size = _cross_nodes(sys, k, m, pf.coeffs[k].shape[0])
     if pf.weighted:
-        grid = chebyshev2_grid(sys, size)
+        grid = chebyshev2_grid(sub, size)
         smooth = cheb.chebU_nodal(pf.coeffs[k], size)
-        return np.sum(grid.sqrt_weights[k] * smooth * fn(grid.nodes[k]))
-    grid = legendre_grid(sys, size)
-    x = grid.nodes[k]
-    return np.sum(grid.weights[k] * pf.piece_values(k, x) * fn(x))
+        return np.sum(grid.sqrt_weights[0] * smooth * fn(grid.nodes[0]))
+    grid = legendre_grid(sub, size)
+    x = grid.nodes[0]
+    return np.sum(grid.weights[0] * pf.piece_values(k, x) * fn(x))
 
 
 def _range2_moments(theta, phi: PiecewiseFunction):
@@ -511,10 +510,8 @@ def _j_form(theta, fs, gs):
             grid = chebyshev2_grid(sys, _cross_nodes(sys, j, k, b.shape[1]))
             x = grid.nodes[j]
             s = sys.to_unit(k, x)
-            # u_k^{-(n+1)} for every mode n, one row each
-            upows = np.cumprod(np.broadcast_to(1.0 / joukowski_exterior(s),
-                                               (da.shape[1], x.size)), axis=0)
-            deriv = (da @ upows) / unit_radical(s)
+            powers = cheb.exterior_powers(joukowski_exterior(s), da.shape[1])
+            deriv = (da @ powers) / unit_radical(s)
             g = cheb.chebU_nodal(b, x.size)
             out -= theta[j, k] * (np.conj(g) * deriv) @ grid.sqrt_weights[j]
     return np.real(out)
@@ -545,7 +542,7 @@ def random_sqrt_vanishing(sys: IntervalSystem, modes=24, seed=0, decay=0.7,
 
 
 def injectivity_report(theta, sys: IntervalSystem, size=96, n_samples=20,
-                       seed=1234, modes=16):
+                       seed=1234):
     """Numerical injectivity evidence at the chosen discretization.
 
     Reports the smallest singular value of Id - K and the minimum of
@@ -557,7 +554,7 @@ def injectivity_report(theta, sys: IntervalSystem, size=96, n_samples=20,
     ns = assemble_K(sys, theta, size=size, lam=1.0)
     sigma_min, sigma_max, _ = extreme_singular_values(ns)
     rng = np.random.default_rng(seed)
-    fs = [random_sqrt_vanishing(sys, modes=modes, rng=rng) for _ in range(n_samples)]
+    fs = [random_sqrt_vanishing(sys, modes=16, rng=rng) for _ in range(n_samples)]
     jvals = bilinear_form_J_many(theta, fs)
     norms = np.array([f.norm2() ** 2 for f in fs])
     return {

@@ -50,6 +50,7 @@ TABLE_LIMIT = 400.0       # largest |2t| the inverse maps accept
 NEWTON_MAX_ITER = 60      # enough for bisection alone to reach rounding
 LAMBDA0 = 0.25            # window of the low-frequency range diagnostic
 MULTIPLIER_FLOOR = 1e-8   # multiplier values below this are not divided by
+EXTRA_MODES = 8           # output modes beyond those of the input
 
 
 @dataclass(frozen=True)
@@ -366,9 +367,14 @@ def _mixed_spectrum(sd, f, grid):
     return forward_ft(grid, mixed), cv
 
 
-def _demix_to_function(sd, spec, grid, weighted, nmodes, real_output):
-    """(F . )^{-1} then M^T then T^{-1}, sampled on Chebyshev nodes."""
+def _demix_to_function(sd, spec, grid, weighted, source):
+    """(F . )^{-1} then M^T then T^{-1}, sampled on Chebyshev nodes.
+
+    The result has EXTRA_MODES more modes than ``source``, the input of the
+    transform, and is real when ``source`` is.
+    """
     sys = sd.sys
+    nmodes = max(c.shape[0] for c in source.coeffs) + EXTRA_MODES
     s = cheb.cheb2_nodes(nmodes) if weighted else cheb.cheb1_nodes(nmodes)
     values = []
     for k in range(sys.n):
@@ -378,20 +384,17 @@ def _demix_to_function(sd, spec, grid, weighted, nmodes, real_output):
         fv = sd.sgn_odd[k] * np.sqrt(np.abs(sd.phi_prime(x)) / 2.0) * ch
         if weighted:
             fv = fv / sys.weight(k, x)
-        values.append(np.real(fv) if real_output else fv)
+        values.append(np.real(fv) if source.field == "real" else fv)
     return PiecewiseFunction.from_smooth_values(sd.sys, values, weighted=weighted)
 
 
-def uniform_forward(sd: SpectralData, f: PiecewiseFunction, grid: TGrid = None,
-                    nmodes=None) -> PiecewiseFunction:
+def uniform_forward(sd: SpectralData, f: PiecewiseFunction, grid: TGrid = None
+                    ) -> PiecewiseFunction:
     """Multi-interval transform of f through the diagonalization."""
     grid = grid or TGrid()
-    if nmodes is None:
-        nmodes = max(c.shape[0] for c in f.coeffs) + 8
     spec, _ = _mixed_spectrum(sd, f, grid)
     mult = 1j * np.tanh(np.pi * grid.lam / 2.0)
-    return _demix_to_function(sd, mult[None, :] * spec, grid, weighted=False,
-                              nmodes=nmodes, real_output=f.field == "real")
+    return _demix_to_function(sd, mult[None, :] * spec, grid, weighted=False, source=f)
 
 
 def uniform_range_check(sd: SpectralData, g: PiecewiseFunction,
@@ -428,19 +431,19 @@ def _range_verdict(spec, grid, g, tol):
     }
 
 
-def uniform_invert(sd: SpectralData, g: PiecewiseFunction, grid: TGrid = None,
-                   nmodes=None, range_tol=1e-6) -> PiecewiseFunction:
+def uniform_invert(sd: SpectralData, g: PiecewiseFunction, grid: TGrid = None
+                   ) -> PiecewiseFunction:
     """Inverse transform (F M T)^{-1} (i tanh(pi lambda/2))^{-1} (F M T) g.
 
     Frequencies where the multiplier is below ``MULTIPLIER_FLOOR`` are
     excluded (only lambda = 0 at the default grid); their energy is exactly
     the range diagnostic, so the range check runs first.
     """
-    return uniform_invert_with_verdict(sd, g, grid, nmodes, range_tol)[0]
+    return uniform_invert_with_verdict(sd, g, grid)[0]
 
 
 def uniform_invert_with_verdict(sd: SpectralData, g: PiecewiseFunction,
-                                grid: TGrid = None, nmodes=None, range_tol=1e-6):
+                                grid: TGrid = None, range_tol=1e-6):
     """``uniform_invert`` plus the range verdict it checked, as (f, verdict).
 
     The verdict is the ``uniform_range_check`` result of the same spectrum
@@ -453,8 +456,6 @@ def uniform_invert_with_verdict(sd: SpectralData, g: PiecewiseFunction,
         raise RangeViolationError(
             "low-frequency energy test failed: dc_energy = "
             f"{verdict['dc_energy']} > {verdict['tolerance']:.3e}")
-    if nmodes is None:
-        nmodes = max(c.shape[0] for c in g.coeffs) + 8
     mult = 1j * np.tanh(np.pi * grid.lam / 2.0)
     inv = np.zeros_like(mult)
     keep = np.abs(mult) >= MULTIPLIER_FLOOR
@@ -468,6 +469,5 @@ def uniform_invert_with_verdict(sd: SpectralData, g: PiecewiseFunction,
         recovered[:, 0] = sum(
             w6[r] * (recovered[:, r + 1] + recovered[:, -(r + 1)])
             for r in range(3))
-    f = _demix_to_function(sd, recovered, grid, weighted=True,
-                           nmodes=nmodes, real_output=g.field == "real")
+    f = _demix_to_function(sd, recovered, grid, weighted=True, source=g)
     return f, verdict

@@ -257,13 +257,14 @@ def test_criterion_6_range_conditions(sys2, theta2, spd_cases):
 
     # integrable-data identity on the generic n=2 fixture; the zero-shift
     # variant on a fixture whose forward image has c = 0
-    psi_n2 = spd_cases[0][4]
-    gam_n2 = spd_cases[0][6]
-    l1 = range_check_L1_variant(psi_n2, gam_n2, theta2)
+    _, _, _, _, psi_n2, res_n2, gam_n2 = spd_cases[0]
+    l1 = range_check_L1_variant(psi_n2, res_n2.c, res_n2.nu, gam_n2, theta2)
     resid_int = float(np.max(np.abs(l1["integrable"])))
     phi0z = zero_c_combination(sys2, theta2, seeds=(61, 62, 63))
     psi_z = forward_map(theta2, phi0z)
-    lz = range_check_L1_variant(psi_z, gam_n2, theta2)
+    c_z = compute_c(psi_z)
+    lz = range_check_L1_variant(psi_z, c_z, compute_nu(psi_z, c_z, theta2), gam_n2,
+                                theta2)
     resid_zero = float(np.max(np.abs(lz["zero_shift"])))
 
     ok = [

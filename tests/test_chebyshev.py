@@ -17,10 +17,12 @@ from mifht.chebyshev import (
     chebU_to_T,
     clenshaw_T,
     clenshaw_U,
+    exterior_powers,
     fht_plain_pv,
     fht_weighted_offcut,
     fht_weighted_pv,
 )
+from mifht.intervals import ABOVE, BELOW, joukowski_exterior
 
 
 def test_cheb_project_constant():
@@ -118,6 +120,43 @@ def test_chebU_nodal_matches_mpmath(case):
     got = chebU_nodal(a, N)
     assert got.shape == (N,) and np.iscomplexobj(got) == cplx
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _exterior_powers_mpmath(u, K):
+    """u^{-(k+1)} for k < K at 40 digits from the double input u."""
+    out = np.empty((K,) + u.shape, dtype=complex)
+    with mpmath.workdps(40):
+        for idx, x in np.ndenumerate(u):
+            inv = 1 / mpmath.mpc(complex(x))
+            for k in range(K):
+                out[(k,) + idx] = complex(inv ** (k + 1))
+    return out
+
+
+def _exterior_points(case):
+    s = np.linspace(-0.99, 0.99, 9)
+    if case == "cut-above":
+        return joukowski_exterior(s, ABOVE)
+    if case == "cut-below":
+        return joukowski_exterior(s, BELOW)
+    if case == "just-off":
+        return joukowski_exterior(np.array([1 + 1e-6, -1 - 1e-6]))
+    if case == "gap-0.01":  # nodes of I_0 in the unit variable of I_1
+        sys = make_interval_system([(-2.0, -0.005), (0.005, 2.0)])
+        return joukowski_exterior(sys.to_unit(1, sys.from_unit(0, cheb2_nodes(9))))
+    rng = np.random.default_rng(7)
+    return joukowski_exterior(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 33, 256])
+@pytest.mark.parametrize("case", ["cut-above", "cut-below", "just-off", "gap-0.01",
+                                  "off-axis"])
+def test_exterior_powers_match_mpmath(case, K):
+    u = _exterior_points(case)
+    got = exterior_powers(u, K)
+    ref = _exterior_powers_mpmath(u, K)
+    assert got.shape == (K,) + u.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
 def test_chebU_nodal_batched_rows():

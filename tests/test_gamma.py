@@ -461,8 +461,8 @@ def test_J12_non_symmetric_round_trip(sys2):
 
 
 def test_integrable_residual_on_round_trip(sys2, theta2, gamma2, rt2):
-    _, psi, _, _ = rt2
-    out = range_check_L1_variant(psi, gamma2, theta2)
+    _, psi, c, nu = rt2
+    out = range_check_L1_variant(psi, c, nu, gamma2, theta2)
     assert np.max(np.abs(out["integrable"])) <= 1e-6
     assert out["zero_shift"] is None  # c[psi] != 0 here
 
@@ -470,8 +470,9 @@ def test_integrable_residual_on_round_trip(sys2, theta2, gamma2, rt2):
 def test_zero_shift_residual_on_zero_c_fixture(sys2, theta2, gamma2):
     phi0 = zero_c_combination(sys2, theta2, seeds=(51, 52, 53))
     psi = forward_map(theta2, phi0)
-    assert np.max(np.abs(compute_c(psi))) <= 1e-12
-    out = range_check_L1_variant(psi, gamma2, theta2)
+    c = compute_c(psi)
+    assert np.max(np.abs(c)) <= 1e-12
+    out = range_check_L1_variant(psi, c, compute_nu(psi, c, theta2), gamma2, theta2)
     assert out["zero_shift"] is not None
     assert np.max(np.abs(out["zero_shift"])) <= 1e-6
     assert np.max(np.abs(out["integrable"])) <= 1e-6
@@ -479,7 +480,8 @@ def test_zero_shift_residual_on_zero_c_fixture(sys2, theta2, gamma2):
 
 def test_range_check_zero_input(sys2, theta2, gamma2):
     psi = PiecewiseFunction.zeros(sys2, 8)
-    out = range_check_L1_variant(psi, gamma2, theta2)
+    c = compute_c(psi)
+    out = range_check_L1_variant(psi, c, compute_nu(psi, c, theta2), gamma2, theta2)
     np.testing.assert_allclose(out["integrable"], 0.0, atol=1e-15)
 
 

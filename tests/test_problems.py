@@ -473,6 +473,7 @@ MALFORMED = {
     "dt-zero": (UNIFORM1 + "dt = 0\n", ["uniform-invert"]),
     "tmax-negative": (UNIFORM1, ["uniform-invert", "--tmax", "-1"]),
     "tmax-beyond-inverse-map-range": (UNIFORM1, ["uniform-invert", "--tmax", "256"]),
+    "range-tol-key-not-read": (MINIMAL + "range_tol = 1e-8\n", ["invert"]),
 }
 MALFORMED_ERROR = {"tmax-beyond-inverse-map-range": "RangeExceededError"}
 
