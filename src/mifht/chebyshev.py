@@ -27,7 +27,7 @@ only used there; off-cut plain transforms go through panel quadrature.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -105,6 +105,50 @@ def chebU_nodal(a, N):
     x[..., 1: N + 1] = 0.5 * (x[..., 1: N + 1] + c[..., : N + 1: -1])
     y = scipy.fft.dct(x, type=1, axis=-1)
     return y[..., N: 0: -1]
+
+
+def chop(coeffs):
+    """Number of leading coefficients to keep: the standard chop at eps.
+
+    Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43 (2017).
+    The envelope is the running maximum, from the tail, of |coeffs| taken
+    over every leading axis and normalized to start at 1.  The first j whose
+    envelope stays within a factor r = 3 (1 - log e_j / log eps) up to index
+    1.25 j + 5 starts a plateau; the cut is then the minimum of the log
+    envelope plus a ramp that favours short series.  Without a plateau, or
+    below 17 coefficients, the whole series is kept; the result is never
+    0 and never more than the input length.
+    """
+    tol = np.finfo(float).eps
+    b = np.abs(np.asarray(coeffs))
+    b = b.reshape(-1, b.shape[-1]).max(axis=0)
+    n = b.size
+    if n < 17:
+        return n
+    env = np.maximum.accumulate(b[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    # 1-based j = 2, 3, ... with its partner round(1.25 j + 5), halves up
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = env[j - 1], env[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plateau = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)))
+    if not np.any(plateau):
+        return n
+    first = np.argmax(plateau)
+    point, j2 = j[first] - 1, j2[first]
+    if env[point - 1] == 0.0:
+        return point
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    ramp = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(ramp)), 1)
 
 
 def clenshaw_T(b, s):
@@ -398,15 +442,21 @@ class PiecewiseFunction:
 
     # -- norms and arithmetic ------------------------------------------------
 
+    @cached_property
+    def _piece_norms(self):
+        """L2 norm of every piece by Gauss-Legendre, taken once per instance."""
+        out = []
+        for j, c in enumerate(self.coeffs):
+            xg, wg = _gauss_legendre(max(2 * c.shape[0] + 16, 48))
+            v = self.piece_values(j, self.sys.from_unit(j, xg))
+            out.append(float(np.sqrt(np.sum(wg * np.abs(v) ** 2) * self.sys.half[j])))
+        return out
+
     def piece_norm2(self, j):
-        M = max(2 * self.coeffs[j].shape[0] + 16, 48)
-        xg, wg = _gauss_legendre(M)
-        x = self.sys.from_unit(j, xg)
-        v = self.piece_values(j, x)
-        return float(np.sqrt(np.sum(wg * np.abs(v) ** 2) * self.sys.half[j]))
+        return self._piece_norms[j]
 
     def norm2(self):
-        return float(np.sqrt(sum(self.piece_norm2(j) ** 2 for j in range(self.sys.n))))
+        return float(np.sqrt(sum(v ** 2 for v in self._piece_norms)))
 
     def _binary(self, other, op):
         if not isinstance(other, PiecewiseFunction):

@@ -49,9 +49,7 @@ from .solver import (
     _solve_refined,
 )
 
-# targets per row chunk of the resolvent projection
-RESOLVENT_CHUNK = 64
-# largest number of U modes in the density series of Gamma
+# largest number of U modes sampled for the density series of Gamma
 GAMMA_MAX_MODES = 128
 
 
@@ -160,7 +158,7 @@ def compute_F(nystrom: NystromSystem, kernel: IntegrableKernelData):
     if sigma_min < 1e-12 * sigma_max:
         raise NearSingularError(
             f"Id - K/lambda numerically singular: sigma_min = {sigma_min:.3e}")
-    smooth = _solve_refined(ns.matrix.astype(complex), rhs).T  # (n, total)
+    smooth = _solve_refined(ns.matrix, rhs).T  # (n, total)
     residual = float(np.max(np.abs(_real_matmul(ns.matrix, smooth.T) - rhs)))
     wts = np.concatenate([ns.sys.weight(l, ns.grid.nodes[l]) for l in range(n)])
     values = smooth * wts[None, :]
@@ -173,7 +171,9 @@ class GammaSolution:
     Stores, per interval l, the U-series of the smooth parts of the
     densities (F g^t)_{jm} = i w_l d_{jm}; the Cauchy integral of each
     density is then a geometric series in the exterior coordinate of I_l,
-    valid on and off the cut (with a side selector on the cut).
+    valid on and off the cut (with a side selector on the cut).  Each
+    series is sampled on ``sampled_modes`` nodes and kept to the standard
+    chop of its n x n envelope, so every sum runs over the resolved modes.
     """
 
     def __init__(self, nystrom: NystromSystem, kernel: IntegrableKernelData):
@@ -184,7 +184,7 @@ class GammaSolution:
         self.kernel = kernel
         self.nystrom = ns
         n = self.sys.n
-        nmodes = min(GAMMA_MAX_MODES, max(ns.grid.sizes))
+        nmodes = self.sampled_modes = min(GAMMA_MAX_MODES, max(ns.grid.sizes))
 
         smooth, values, self.f_residual = compute_F(ns, kernel)
         self.F_smooth_nodes = smooth
@@ -199,7 +199,17 @@ class GammaSolution:
             gmat = kernel.g_matrix(l, z)  # (n, nmodes), row l zero
             dmat = np.einsum("jq,mq->jmq", sig, gmat)
             coeffs = cheb.chebU_coeffs(dmat.reshape(n * n, nmodes))
-            self.density.append(coeffs.reshape(n, n, nmodes))
+            self.density.append(coeffs[:, : cheb.chop(coeffs)].reshape(n, n, -1))
+
+    def density_resolution(self):
+        """Kept modes per interval, and whether each series found no plateau.
+
+        ``gamma_density_capped[l]`` is true when the chop kept all
+        ``sampled_modes`` coefficients of interval l.
+        """
+        modes = [D.shape[2] for D in self.density]
+        return {"gamma_density_modes": modes,
+                "gamma_density_capped": [k == self.sampled_modes for k in modes]}
 
     # -- point evaluation ---------------------------------------------------
 
@@ -413,13 +423,18 @@ class GammaSolution:
         return out * sw[None, :] / wt[:, None]
 
     def apply_resolvent(self, nu: PiecewiseFunction, nmodes=None):
-        """hat R nu as a sqrt-vanishing PiecewiseFunction.
+        """hat R nu as a sqrt-vanishing PiecewiseFunction, chopped per interval.
 
         Smooth parts at U nodes z of I_m:
-        -(1/pi) sum_k sum_q sw p_k(x_q) [(A(x_q) - A(z)) Gamma_m(z)] / (z - x_q),
+        -(1/(pi lambda)) sum_k sum_q sw p_k(x_q) [(A(x_q) - A(z)) Gamma_m(z)] / (z - x_q),
         with Gamma_m the m-th column (continuous across I_m) and the g/f
-        normalization folded into the -1/pi prefactor.  A target on a node
-        takes the limit -A'(z) Gamma_m(z) of its term.
+        normalization folded into the prefactor.  With C = 1/(z - x)
+        and the node columns wA = sw p A, w = sw p the sum splits into
+        sum_a Gamma_am(z) (C wA)_a - A(z) Gamma_m(z) (C w): one real Cauchy
+        product per target interval.  Its rounding is that of the
+        difference A(x_q) - A(z) it replaces, eps / |z - x_q|.  A target on
+        a node gets C = 0 there and takes the limit -A'(z) Gamma_m(z) of
+        its term instead.
         """
         ns = self.nystrom
         sys = self.sys
@@ -428,6 +443,7 @@ class GammaSolution:
         x = np.concatenate(ns.grid.nodes)
         _, _, Ax = self._at_nodes
         weights = np.concatenate(ns.grid.sqrt_weights) * self._nodal(nu)
+        cols = np.column_stack([weights[:, None] * Ax, weights])  # [wA, w]
         z = np.concatenate([sys.from_unit(m, cheb.cheb2_nodes(nmodes))
                             for m in range(sys.n)])
         gz = self.eval(z, side=ABOVE)
@@ -442,22 +458,25 @@ class GammaSolution:
         q = np.where(np.abs(x[lo] - z) < np.abs(x[hi] - z), lo, hi)
         p = np.nonzero(np.abs(x[q] - z) <= 8 * np.finfo(float).eps * sys.scale)[0]
         q = q[p]
+        n = sys.n
         acc = np.empty(z.size, dtype=complex)
-        for start in range(0, z.size, RESOLVENT_CHUNK):
-            rows = slice(start, start + RESOLVENT_CHUNK)
-            dz = z[rows, None] - x[None, :]
-            on = (start <= p) & (p < start + RESOLVENT_CHUNK)
-            dz[p[on] - start, q[on]] = np.inf  # these terms take the limit below
-            proj = col[rows] @ Ax.T
-            proj -= Acol[rows, None]
-            proj /= dz
-            acc[rows] = proj @ weights
+        for m in range(n):
+            rows = slice(m * nmodes, (m + 1) * nmodes)
+            # one target interval at a time keeps the Cauchy matrix small
+            cauchy = np.subtract.outer(z[rows], x)
+            on = owner[p] == m
+            cauchy[p[on] - m * nmodes, q[on]] = np.inf  # C = 0: limit term below
+            np.divide(1.0, cauchy, out=cauchy)
+            prod = _real_matmul(cauchy, cols)
+            acc[rows] = np.sum(col[rows] * prod[:, :n], axis=1) - Acol[rows] * prod[:, n]
         if p.size:
             acc[p] -= weights[q] * np.sum(self._node_slopes(q) * col[p], axis=1)
-        smooth = np.split(-acc / np.pi, sys.n)
+        smooth = np.split(-acc / (np.pi * self.lam), n)
         if nu.field == "real" and not np.iscomplexobj(np.asarray(self.lam)):
             smooth = [np.real(v) for v in smooth]
-        return PiecewiseFunction.from_smooth_values(sys, smooth, weighted=True)
+        coeffs = [cheb.chebU_coeffs(v) for v in smooth]
+        return PiecewiseFunction(sys, [c[: cheb.chop(c)] for c in coeffs],
+                                 weighted=True)
 
 
 def build_gamma(sys: IntervalSystem, theta, lam=1.0, size=96) -> GammaSolution:

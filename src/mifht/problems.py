@@ -416,6 +416,8 @@ def _cmd_invert(spec, sys, theta):
                             for j in range(sys.n)])
         disc = float(np.max(np.abs(res.phi(x) - phi_r(x))))
         diag["two_path_discrepancy"] = _check(disc, tol)
+        diag["resolution"] = {**gam.density_resolution(),
+                              "resolvent_modes": [c.size for c in phi_r.coeffs]}
         tables["phi_resolvent"] = _table(phi_r)
     return diag, tables
 
@@ -446,6 +448,7 @@ def _cmd_range_check(spec, sys, theta):
     verdicts = [v["pass"] for v in diag.values() if isinstance(v, dict)
                 and "pass" in v]
     diag["in_range"] = bool(all(verdicts))
+    diag["resolution"] = gam.density_resolution()
     return diag, {"nu": _table(nu)}
 
 
@@ -466,6 +469,7 @@ def _cmd_gamma_check(spec, sys, theta):
         "nojump_gamma_f": _check(nj_f, 1e-8),
         "nojump_gt_gamma_inv": _check(nj_g, 1e-8),
         "f_solve_residual": gam.f_residual,
+        "resolution": gam.density_resolution(),
     }
     return diag, {}
 

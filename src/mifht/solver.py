@@ -271,9 +271,17 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
 
 
 def _solve_refined(A, b):
-    lu = scipy.linalg.lu_factor(A)
+    """A x = b by LU with one step of iterative refinement; A is not modified.
+
+    A real A meets a complex b as a complex LU of its cast, factored in
+    place, with the refinement residual from real products on A itself.
+    """
+    if np.iscomplexobj(b) and not np.iscomplexobj(A):
+        lu = scipy.linalg.lu_factor(A.astype(complex, order="F"), overwrite_a=True)
+    else:
+        lu = scipy.linalg.lu_factor(A)
     x = scipy.linalg.lu_solve(lu, b)
-    x = x + scipy.linalg.lu_solve(lu, b - A @ x)
+    x = x + scipy.linalg.lu_solve(lu, b - _real_matmul(A, x))
     return x
 
 
@@ -311,7 +319,7 @@ def extreme_singular_values(ns: NystromSystem):
     rng = np.random.default_rng(0)
     Q = np.empty((N, 0))
     rows = []  # block^T (A - Q Q^T A) = block^T A, the rows of Q^T A
-    resid = A.copy()  # deflated in place
+    resid = A  # the first deflation writes a new array, later ones overwrite it
     while True:
         k = Q.shape[1]
         Y = resid @ rng.standard_normal((N, min(SKETCH_BLOCK, N - k)))
@@ -320,7 +328,8 @@ def extreme_singular_values(ns: NystromSystem):
         block = np.linalg.qr(np.hstack([Q, Y]))[0][:, k:]
         Q = np.hstack([Q, block])
         rows.append(block.T @ resid)
-        resid -= block @ rows[-1]
+        resid = scipy.linalg.blas.dgemm(-1.0, block, rows[-1], 1.0, resid,
+                                        overwrite_c=resid is not A)
         err = np.linalg.norm(resid)
         if err <= target or Q.shape[1] == N:
             break
@@ -376,7 +385,11 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     if sigma_min < SIGMA_FLOOR * sigma_max:
         raise NearSingularError(
             f"Id - K numerically singular: sigma_min = {sigma_min:.3e}")
-    sol = _solve_refined(ns.matrix, rhs)
+    if real_data:
+        sol = _solve_refined(ns.matrix, rhs)
+    else:  # as real and imaginary columns, so the real matrix gets a real LU
+        sol = _solve_refined(ns.matrix, np.column_stack([rhs.real, rhs.imag]))
+        sol = sol[:, 0] + 1j * sol[:, 1]
     residual = float(np.max(np.abs(ns.matrix @ sol - rhs)) / (1.0 + np.max(np.abs(rhs))))
 
     warn = None
@@ -507,13 +520,14 @@ def _j_form(theta, fs, gs):
                 out += theta[k, k] * 0.5 * np.pi * sys.half[k] ** 2 * np.sum(
                     da[:, :m] * np.conj(b[:, :m]), axis=1)
                 continue
-            grid = chebyshev2_grid(sys, _cross_nodes(sys, j, k, b.shape[1]))
-            x = grid.nodes[j]
+            grid = chebyshev2_grid(IntervalSystem([sys.endpoints[j]]),
+                                   _cross_nodes(sys, j, k, b.shape[1]))
+            x = grid.nodes[0]
             s = sys.to_unit(k, x)
             powers = cheb.exterior_powers(joukowski_exterior(s), da.shape[1])
             deriv = (da @ powers) / unit_radical(s)
             g = cheb.chebU_nodal(b, x.size)
-            out -= theta[j, k] * (np.conj(g) * deriv) @ grid.sqrt_weights[j]
+            out -= theta[j, k] * (np.conj(g) * deriv) @ grid.sqrt_weights[0]
     return np.real(out)
 
 

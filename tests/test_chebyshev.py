@@ -15,6 +15,7 @@ from mifht.chebyshev import (
     chebU_integral,
     chebU_nodal,
     chebU_to_T,
+    chop,
     clenshaw_T,
     clenshaw_U,
     exterior_powers,
@@ -173,6 +174,43 @@ def test_chebU_nodal_batched_rows():
             assert np.max(np.abs(got[i, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+EPS = np.finfo(float).eps
+
+
+def test_chop_cuts_a_geometric_series_at_its_eps_plateau():
+    rng = np.random.default_rng(3)
+    k = np.arange(128)
+    c = 0.5 ** k + EPS * rng.uniform(-1.0, 1.0, k.size)
+    cut = chop(c)
+    # 0.5^k >= 1e3 eps up to k = 42; what is dropped is the plateau
+    assert 42 < cut < k.size
+    assert np.max(np.abs(c[cut:])) <= 2 * EPS
+    # the envelope runs over every leading axis
+    block = np.outer([1.0, -3.0, 2.0j], 0.6 ** k) + EPS * rng.uniform(-1.0, 1.0, (3, 128))
+    cut = chop(block)
+    assert np.nonzero(np.max(np.abs(block), axis=0) >= 1e3 * EPS)[0][-1] < cut
+    assert np.max(np.abs(block[:, cut:])) <= 2 * EPS
+
+
+@pytest.mark.parametrize("coeffs", [
+    1.0 / (1.0 + np.arange(200)) ** 2,  # algebraic decay, never near eps
+    0.9 ** np.arange(128),  # geometric, but 0.9^127 = 1.6e-6
+    np.ones(40),
+], ids=["algebraic", "geometric-unresolved", "flat"])
+def test_chop_keeps_a_series_with_no_plateau_whole(coeffs):
+    assert chop(coeffs) == coeffs.size
+
+
+def test_chop_is_never_longer_than_its_input_and_never_zero():
+    rng = np.random.default_rng(4)
+    for n in range(1, 60):
+        for c in (rng.standard_normal(n) * 0.3 ** np.arange(n), np.zeros(n),
+                  np.eye(n)[-1]):
+            assert 1 <= chop(c) <= n
+    assert chop(np.zeros(30)) == 1
+    assert chop(np.zeros(5)) == 5  # below 17 coefficients nothing is cut
+
+
 def test_u_to_t_conversion():
     rng = np.random.default_rng(3)
     s = np.linspace(-1, 1, 41)
@@ -253,6 +291,22 @@ def test_piecewise_eval_and_norm():
     np.testing.assert_allclose(pf(x), x ** 2, atol=1e-13)
     # ||x^2||_{L^2}^2 = int_{-2}^{-1} + int_1^2 x^4 = 2*(31/5)
     assert pf.norm2() == pytest.approx(np.sqrt(2 * 31.0 / 5), rel=1e-12)
+
+
+def test_piece_norms_are_taken_once_per_function(monkeypatch):
+    sys = make_interval_system([(-2, -1), (1, 2)])
+    pf = PiecewiseFunction.from_callable(sys, lambda x: x ** 2, N=8)
+    calls = []
+    values = PiecewiseFunction.piece_values
+
+    def counted(self, j, x):
+        calls.append(j)
+        return values(self, j, x)
+
+    monkeypatch.setattr(PiecewiseFunction, "piece_values", counted)
+    parts = [pf.piece_norm2(j) for j in range(2)]
+    assert pf.norm2() == np.sqrt(sum(p ** 2 for p in parts)) == pf.norm2()
+    assert calls == [0, 1]
 
 
 def test_piecewise_outside_domain():

@@ -20,6 +20,8 @@ from mifht.gamma import (
     range_condition_N2,
     range_condition_two_intervals,
 )
+from mifht import chebyshev as cheb
+from mifht.intervals import ABOVE, BELOW, unit_radical
 from mifht.problems import _nojump_residuals
 from mifht.solver import (
     ThetaMatrix,
@@ -373,6 +375,110 @@ def test_resolvent_targets_on_the_nodes_take_the_exact_limit(sys2, theta2, rt2):
     off = gam.apply_resolvent(nu, nmodes=57)
     x = interior_points(sys2, 15)
     assert np.max(np.abs(on(x) - off(x))) <= 1e-10 * np.max(np.abs(off(x)))
+
+
+def _difference_form_resolvent(gam, nu, nmodes):
+    """hat R nu at the U nodes of every interval, one target at a time.
+
+    -(1/(pi lambda)) sum_q sw p(x_q) (A(x_q) - A(z)) Gamma_m(z) / (z - x_q);
+    a node within 8 eps max|endpoint| of z takes -A'(z) Gamma_m(z) instead.
+    """
+    ns, sys = gam.nystrom, gam.sys
+    x = np.concatenate(ns.grid.nodes)
+    _, _, Ax = gam._at_nodes
+    w = np.concatenate(ns.grid.sqrt_weights) * gam._nodal(nu)
+    out, hits = [], 0
+    for m in range(sys.n):
+        z = sys.from_unit(m, cheb.cheb2_nodes(nmodes))
+        G = gam.eval(z, side=ABOVE)
+        Az = np.einsum("qa,qam->qm", gam.kernel.g_vector(z), np.linalg.inv(G))
+        vals = []
+        for zp, col, az in zip(z, G[:, :, m], Az):
+            on = np.abs(zp - x) <= 8 * np.finfo(float).eps * sys.scale
+            terms = np.empty(x.size, dtype=complex)
+            terms[~on] = (Ax[~on] - az) @ col / (zp - x[~on])
+            terms[on] = -gam._node_slopes(np.nonzero(on)[0]) @ col
+            hits += int(on.sum())
+            vals.append(-(w @ terms) / (np.pi * gam.lam))
+        out.append(np.array(vals))
+    return out, hits
+
+
+RESOLVENT_CASES = {"n3-65": (3, 65, 1.0), "n3-74": (3, 74, 1.0),
+                   "n3-256": (3, 256, 1.0), "n2-complex-lambda": (2, 64, 2.0 + 1.0j)}
+
+
+@pytest.mark.parametrize("case", RESOLVENT_CASES)
+def test_apply_resolvent_matches_difference_form_reference(request, case):
+    n, size, lam = RESOLVENT_CASES[case]
+    sys, theta = request.getfixturevalue(f"sys{n}"), request.getfixturevalue(f"theta{n}")
+    psi = forward_map(theta, random_sqrt_vanishing(sys, modes=16, seed=3))
+    nu = compute_nu(psi, compute_c(psi), theta)
+    gam = build_gamma(sys, theta, lam=lam, size=size)
+    got = gam.apply_resolvent(nu)
+    nmodes = size + 33
+    ref, hits = _difference_form_resolvent(gam, nu, nmodes)
+    # nystrom 65 and 74 put targets on nodes, exactly or 1 ulp apart
+    assert (hits > 0) == (np.gcd(size + 1, 33) > 1)
+    scale = max(np.max(np.abs(r)) for r in ref)
+    for m in range(sys.n):
+        assert got.coeffs[m].size < nmodes
+        vals = cheb.chebU_nodal(got.coeffs[m], nmodes)
+        assert np.max(np.abs(vals - ref[m])) <= 1e-13 * scale
+
+
+def test_apply_resolvent_inverts_the_nystrom_operator_at_complex_lambda(sys2, theta2, rt2):
+    # targets on the nodes: hat R nu is the resolvent matrix applied to the
+    # node values of nu, whose rows carry the 1/lambda of R(z, x; lambda)
+    gam = build_gamma(sys2, theta2, lam=2.0 + 1.0j, size=40)
+    nu = rt2[3]
+    got = gam.apply_resolvent(nu, nmodes=40)
+    vals = np.concatenate([cheb.chebU_nodal(c, 40) for c in got.coeffs])
+    expect = gam.resolvent_matrix() @ gam._nodal(nu)
+    assert np.max(np.abs(vals - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("n, size, lam", [(3, 256, 1.0), (2, 96, 2.0 + 1.0j)])
+def test_chopped_gamma_matches_the_full_density(request, monkeypatch, n, size, lam):
+    sys, theta = request.getfixturevalue(f"sys{n}"), request.getfixturevalue(f"theta{n}")
+    gam = build_gamma(sys, theta, lam=lam, size=size)
+    monkeypatch.setattr(cheb, "chop", lambda c: np.shape(c)[-1])
+    full = build_gamma(sys, theta, lam=lam, size=size)
+    eps = np.finfo(float).eps
+    x = interior_points(sys, 40)
+    z = np.concatenate([x + 0.3j, 10.0 * sys.scale * np.exp(1j * np.linspace(0.1, 3.0, 5))])
+    for l, (D, F) in enumerate(zip(gam.density, full.density)):
+        K = D.shape[2]
+        assert K < full.sampled_modes == F.shape[2]
+        np.testing.assert_array_equal(D, F[:, :, :K])
+        assert np.max(np.abs(F[:, :, K:])) <= eps * np.max(np.abs(F))
+    for pts, side in ((x, ABOVE), (x, BELOW), (z, None)):
+        value = gam.eval(pts, side)
+        assert np.max(np.abs(value - full.eval(pts, side))) <= 1e-14 * np.max(np.abs(value))
+        # Gamma' moves by the dropped (k+1)-weighted tail alone: each dropped
+        # coefficient is below eps of the envelope, and (k + 1) reaches the
+        # sampled length
+        bound = np.zeros(pts.size)
+        for l, (D, F) in enumerate(zip(gam.density, full.density)):
+            s = (pts - sys.mid[l]) / sys.half[l]
+            rad = unit_radical(s, side)
+            k = np.arange(D.shape[2], F.shape[2])
+            tail = np.max(np.abs(F[:, :, k]), axis=(0, 1)) * (k + 1)
+            bound += np.abs(cheb.exterior_powers(s + rad, F.shape[2])[k].T) @ tail / (
+                2 * abs(lam) * np.abs(rad))
+        slope = gam._series(pts, side, derivative=True)
+        diff = np.max(np.abs(slope - full._series(pts, side, derivative=True)), axis=(1, 2))
+        assert np.all(diff <= bound + 1e-15 * np.max(np.abs(slope)))
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0 + 1.0j])
+def test_compute_F_leaves_the_nystrom_matrices_unchanged(sys3, theta3, lam):
+    ns = assemble_K(sys3, theta3, size=48, lam=lam)
+    matrix, kernel = ns.matrix.copy(), ns.kernel.copy()
+    smooth, _, residual = compute_F(ns, build_kernel_vectors(sys3, theta3))
+    np.testing.assert_array_equal(ns.matrix, matrix)
+    np.testing.assert_array_equal(ns.kernel, kernel)
+    assert residual <= 1e-13 * np.max(np.abs(smooth))
 
 
 # -- inversion via the resolvent --------------------------------------------------

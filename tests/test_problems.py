@@ -254,6 +254,23 @@ def test_spd_invert_with_resolvent_targets_on_nodes(case):
     assert bundle.diagnostics["two_path_discrepancy"]["value"] <= 1e-10
 
 
+def test_resolution_diagnostics_report_the_chopped_series():
+    bundle = run_command(parse_problem(N3_SPD.replace("nystrom = 48", "nystrom = 256")))
+    res = json.loads(bundle.to_json())["diagnostics"]["resolution"]
+    # n3 densities resolve near 25 of the 128 sampled modes
+    assert all(16 < m < 64 for m in res["gamma_density_modes"])
+    assert res["gamma_density_capped"] == [False] * 3
+    assert all(m <= 64 for m in res["resolvent_modes"])
+    # a gap of 0.01 is not resolved within the 64 sampled modes: kept whole
+    near = ("intervals = (0,1) (1.01,2.01) (2.02,3.02)\nnystrom = 64\n"
+            "theta = [[1,0.5,0.5],[0.5,1,0.5],[0.5,0.5,1]]\n")
+    for command in ("range-check", "gamma-check"):
+        spec = parse_problem(f"command = {command}\n" + near)
+        res = run_command(spec).diagnostics["resolution"]
+        assert res == {"gamma_density_modes": [64] * 3,
+                       "gamma_density_capped": [True] * 3}
+
+
 # -- per-point references for the command diagnostics ---------------------------
 #
 # Each reference evaluates Gamma one point at a time and every U series by
