@@ -273,15 +273,18 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
 def _solve_refined(A, b):
     """A x = b by LU with one step of iterative refinement; A is not modified.
 
-    A real A meets a complex b as a complex LU of its cast, factored in
-    place, with the refinement residual from real products on A itself.
+    The LU is of A^T, which for a C-ordered A is the Fortran-ordered array
+    LAPACK works on, so it is copied without a transpose; ``trans=1`` then
+    solves with A.  A real A meets a complex b as a complex LU of its cast,
+    factored in place, with the refinement residual from real products on
+    A itself.
     """
     if np.iscomplexobj(b) and not np.iscomplexobj(A):
-        lu = scipy.linalg.lu_factor(A.astype(complex, order="F"), overwrite_a=True)
+        lu = scipy.linalg.lu_factor(A.T.astype(complex), overwrite_a=True)
     else:
-        lu = scipy.linalg.lu_factor(A)
-    x = scipy.linalg.lu_solve(lu, b)
-    x = x + scipy.linalg.lu_solve(lu, b - _real_matmul(A, x))
+        lu = scipy.linalg.lu_factor(A.T)
+    x = scipy.linalg.lu_solve(lu, b, trans=1)
+    x = x + scipy.linalg.lu_solve(lu, b - _real_matmul(A, x), trans=1)
     return x
 
 
@@ -328,8 +331,10 @@ def extreme_singular_values(ns: NystromSystem):
         block = np.linalg.qr(np.hstack([Q, Y]))[0][:, k:]
         Q = np.hstack([Q, block])
         rows.append(block.T @ resid)
-        resid = scipy.linalg.blas.dgemm(-1.0, block, rows[-1], 1.0, resid,
-                                        overwrite_c=resid is not A)
+        # resid - block rows, as its transpose: Fortran order for BLAS, so
+        # the first call copies A contiguously and later calls work in place
+        resid = scipy.linalg.blas.dgemm(-1.0, rows[-1].T, block.T, 1.0, resid.T,
+                                        overwrite_c=resid is not A).T
         err = np.linalg.norm(resid)
         if err <= target or Q.shape[1] == N:
             break
