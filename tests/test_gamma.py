@@ -447,7 +447,7 @@ def test_chopped_gamma_matches_the_full_density(request, monkeypatch, n, size, l
     eps = np.finfo(float).eps
     x = interior_points(sys, 40)
     z = np.concatenate([x + 0.3j, 10.0 * sys.scale * np.exp(1j * np.linspace(0.1, 3.0, 5))])
-    for l, (D, F) in enumerate(zip(gam.density, full.density)):
+    for D, F in zip(gam.density, full.density):
         K = D.shape[2]
         assert K < full.sampled_modes == F.shape[2]
         np.testing.assert_array_equal(D, F[:, :, :K])
