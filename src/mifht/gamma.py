@@ -437,7 +437,7 @@ class GammaSolution:
         its term instead.
         """
         ns = self.nystrom
-        sys = self.sys
+        sys, n = self.sys, self.sys.n
         if nmodes is None:
             nmodes = max(ns.grid.sizes) + 33
         x = np.concatenate(ns.grid.nodes)
@@ -445,10 +445,10 @@ class GammaSolution:
         weights = np.concatenate(ns.grid.sqrt_weights) * self._nodal(nu)
         cols = np.column_stack([weights[:, None] * Ax, weights])  # [wA, w]
         z = np.concatenate([sys.from_unit(m, cheb.cheb2_nodes(nmodes))
-                            for m in range(sys.n)])
+                            for m in range(n)])
         gz = self.eval(z, side=ABOVE)
         Az = np.einsum("qa,qam->qm", self.kernel.g_vector(z), np.linalg.inv(gz))
-        owner = np.repeat(np.arange(sys.n), nmodes)
+        owner = np.repeat(np.arange(n), nmodes)
         col = gz[np.arange(z.size), :, owner]  # Gamma_m(z) on I_m, (P, n)
         Acol = np.sum(Az * col, axis=1)
         # targets on a node: z_p == x_q up to the rounding of the two cosine
@@ -458,7 +458,6 @@ class GammaSolution:
         q = np.where(np.abs(x[lo] - z) < np.abs(x[hi] - z), lo, hi)
         p = np.nonzero(np.abs(x[q] - z) <= 8 * np.finfo(float).eps * sys.scale)[0]
         q = q[p]
-        n = sys.n
         acc = np.empty(z.size, dtype=complex)
         for m in range(n):
             rows = slice(m * nmodes, (m + 1) * nmodes)
