@@ -66,7 +66,7 @@ print(f"\nnon-symmetric theta: prediction defect "
 
 # the two inversion routes agree on the solution
 res = solve_phi(theta, psi, size=96)
-phi_r, _, _ = invert_via_resolvent(theta, psi, gamma=gamma)
+phi_r = invert_via_resolvent(nu, gamma)
 x = np.concatenate([sys2.from_unit(j, np.linspace(-0.9, 0.9, 15))
                     for j in range(2)])
 print(f"\ndirect vs resolvent inversion discrepancy: "

@@ -23,7 +23,6 @@ from .errors import (
     RangeExceededError,
     RangeViolationError,
     SchemaError,
-    SingularDataError,
     SymmetryError,
     ZeroLambdaError,
 )

@@ -29,10 +29,6 @@ class ConvergenceError(MifhtError):
     """An adaptive scheme stalled before reaching its accuracy target."""
 
 
-class SingularDataError(MifhtError):
-    """Endpoint-weighted quadrature of the data failed to converge."""
-
-
 class RangeError(MifhtError):
     """Data is not in the range of the transform (moment test failed)."""
 

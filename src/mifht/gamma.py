@@ -36,17 +36,17 @@ from .errors import (
     NearSingularError,
     SymmetryError,
 )
-from .intervals import ABOVE, BELOW, IntervalSystem, radical_eval, unit_radical
+from .intervals import ABOVE, BELOW, IntervalSystem, unit_radical
 from .solver import (
     NystromSystem,
     as_theta,
     assemble_K,
-    compute_c,
-    compute_nu,
     extreme_singular_values,
+    kernel_g,
     _range2_moments,
     _real_matmul,
     _solve_refined,
+    _stacked_g,
 )
 
 # largest number of U modes sampled for the density series of Gamma
@@ -75,29 +75,7 @@ class IntegrableKernelData:
 
     def g_matrix(self, k, x):
         """All components of g at points x inside I_k; shape (n, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sys, th = self.sys, self.theta
-        out = np.zeros((sys.n, x.size))
-        for a in range(sys.n):
-            if a == k:
-                continue
-            out[a] = th[a, k] / (th[a, a] * radical_eval(sys, a, x).real)
-        return out
-
-    def g_matrix_derivative(self, k, x):
-        """d/dx of g_matrix(k, x): g_a' = -theta_ak (x - mid_a) / (theta_aa R_a^3).
-
-        From R_a^2 = (x - alpha_a)(x - beta_a), so R_a' = (x - mid_a) / R_a.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sys, th = self.sys, self.theta
-        out = np.zeros((sys.n, x.size))
-        for a in range(sys.n):
-            if a == k:
-                continue
-            r = radical_eval(sys, a, x).real
-            out[a] = -th[a, k] * (x - sys.mid[a]) / (th[a, a] * r ** 3)
-        return out
+        return kernel_g(self.sys, self.theta, k, x)
 
     def _per_interval(self, x, piece, dtype, name):
         """Rows piece(k, x_k) of shape (n, P_k) placed at the points of each I_k.
@@ -259,11 +237,15 @@ class GammaSolution:
                 out -= (0.5j * self.sys.half[l] / self.lam) * np.moveaxis(Cl, 2, 0)
         return out
 
-    def inverse(self, points, side=None):
-        return np.linalg.inv(self.eval(points, side))
-
     def det(self, points, side=None):
         return np.linalg.det(self.eval(points, side))
+
+    def _on_cut(self, x, g):
+        """(Gamma_+, Gamma_+^{-1}, A = g^t Gamma_+^{-1}) at real points x of I
+        with g (n, P) there; shapes (P, n, n), (P, n, n) and (P, n)."""
+        gam = self.eval(x, side=ABOVE)
+        ginv = np.linalg.inv(gam)
+        return gam, ginv, np.einsum("aq,qam->qm", g, ginv)
 
     def gtinv(self, k, x):
         """(g^t Gamma^{-1})(x) for x in I_k; side-independent, real data real.
@@ -271,9 +253,7 @@ class GammaSolution:
         Shape (len(x), n).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        ginv = self.inverse(x, side=ABOVE)
-        gmat = self.kernel.g_matrix(k, x)  # (n, len)
-        return np.einsum("aq,qam->qm", gmat, ginv)
+        return self._on_cut(x, self.kernel.g_matrix(k, x))[2]
 
     def gtinv_derivative(self, k, x):
         """A'(x) for A = g^t Gamma^{-1} and x in I_k; shape (len(x), n).
@@ -283,42 +263,35 @@ class GammaSolution:
         differentiated exterior series.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        ginv = self.inverse(x, side=ABOVE)
-        A = np.einsum("aq,qam->qm", self.kernel.g_matrix(k, x), ginv)
-        return self._slope(x, self.kernel.g_matrix_derivative(k, x), ginv, A)
+        g = self.kernel.g_matrix(k, x)
+        _, ginv, A = self._on_cut(x, g)
+        return self._slope(x, g, ginv, A)
 
-    def _slope(self, x, dg, ginv, A):
-        """A' = g'^t Gamma_+^{-1} - A Gamma_+' Gamma_+^{-1} from g' (n, P) and
-        Gamma_+^{-1}, A at the points x."""
+    def _slope(self, x, g, ginv, A):
+        """A' = g'^t Gamma_+^{-1} - A Gamma_+' Gamma_+^{-1} from g (n, P),
+        Gamma_+^{-1} and A at the points x.
+
+        R_a^2 = (x - alpha_a)(x - beta_a) gives R_a' = (x - mid_a) / R_a, so
+        g_a' = -g_a (x - mid_a) / ((x - alpha_a)(x - beta_a)).
+        """
+        sys = self.sys
+        dg = -g * (x - sys.mid[:, None]) / ((x - sys.alpha[:, None])
+                                            * (x - sys.beta[:, None]))
         dgam = self._series(x, ABOVE, derivative=True)
         return (np.einsum("aq,qam->qm", dg, ginv)
                 - (A[:, None, :] @ dgam @ ginv)[:, 0])
 
     # -- values at the Nystrom nodes -------------------------------------------
 
-    def _node_g(self, weights):
-        """(n, Q) rows weights[a, k] / (theta_aa R_a(x_q)) at the stacked nodes.
-
-        x_q lies in I_k; the own entry a = k is zero.  ``weights = theta``
-        gives g itself.  The radicals come from the Nystrom system.
-        """
-        ns = self.nystrom
-        owner = np.repeat(np.arange(self.sys.n), ns.grid.sizes)
-        diag = np.diag(self.theta.entries)[:, None]
-        out = np.asarray(weights)[:, owner] / (diag * ns.rad_nodes)
-        out[owner, np.arange(owner.size)] = 0.0
-        return out
-
     @cached_property
     def _at_nodes(self):
         """(Gamma_+, Gamma_+^{-1}, A = g^t Gamma^{-1}) at the stacked Nystrom nodes.
 
-        Built on first use from one evaluation of Gamma; shapes (Q, n, n),
-        (Q, n, n) and (Q, n).
+        Built on first use from one evaluation of Gamma, with g from the
+        Nystrom system; shapes (Q, n, n), (Q, n, n) and (Q, n).
         """
-        gam = self.eval(np.concatenate(self.nystrom.grid.nodes), side=ABOVE)
-        ginv = np.linalg.inv(gam)
-        return gam, ginv, np.einsum("aq,qam->qm", self._node_g(self.theta.entries), ginv)
+        ns = self.nystrom
+        return self._on_cut(np.concatenate(ns.grid.nodes), ns.g_nodes)
 
     def _nodal(self, pf: PiecewiseFunction):
         """Smooth parts of a sqrt-vanishing function at the stacked Nystrom nodes."""
@@ -392,13 +365,8 @@ class GammaSolution:
         """
         ns = self.nystrom
         x = np.concatenate(ns.grid.nodes)[index]
-        owner = np.searchsorted(ns.offsets, index, side="right") - 1
-        dg = np.empty((self.sys.n, x.size))
-        for l in np.unique(owner):
-            on = owner == l
-            dg[:, on] = self.kernel.g_matrix_derivative(l, x[on])
         _, ginv, A = self._at_nodes
-        return self._slope(x, dg, ginv[index], A[index])
+        return self._slope(x, ns.g_nodes[:, index], ginv[index], A[index])
 
     def resolvent_matrix(self):
         """Dense resolvent sampled like the Nystrom kernel: entries R(z,x) sw.
@@ -446,8 +414,7 @@ class GammaSolution:
         cols = np.column_stack([weights[:, None] * Ax, weights])  # [wA, w]
         z = np.concatenate([sys.from_unit(m, cheb.cheb2_nodes(nmodes))
                             for m in range(n)])
-        gz = self.eval(z, side=ABOVE)
-        Az = np.einsum("qa,qam->qm", self.kernel.g_vector(z), np.linalg.inv(gz))
+        gz, _, Az = self._on_cut(z, self.kernel.g_vector(z).T)
         owner = np.repeat(np.arange(n), nmodes)
         col = gz[np.arange(z.size), :, owner]  # Gamma_m(z) on I_m, (P, n)
         Acol = np.sum(Az * col, axis=1)
@@ -486,21 +453,15 @@ def build_gamma(sys: IntervalSystem, theta, lam=1.0, size=96) -> GammaSolution:
     return GammaSolution(ns, kd)
 
 
-def invert_via_resolvent(theta, psi: PiecewiseFunction, size=96,
-                         gamma: GammaSolution = None):
+def invert_via_resolvent(nu: PiecewiseFunction, gamma: GammaSolution):
     """phi = nu + hat R(1) nu through the resolvent representation.
 
-    Must agree with the direct Nystrom solve; the two paths share only the
-    collocation grid, so their discrepancy is a real consistency check.
+    ``nu`` is ``compute_nu(psi, c, theta)`` and ``gamma`` the Gamma of theta
+    at lambda = 1.  Must agree with the direct Nystrom solve; the two paths
+    share only nu and the collocation grid, so their discrepancy is a real
+    consistency check.
     """
-    theta = as_theta(theta)
-    c = compute_c(psi)
-    nu = compute_nu(psi, c, theta)
-    if gamma is None:
-        gamma = build_gamma(psi.sys, theta, lam=1.0, size=size)
-    corr = gamma.apply_resolvent(nu)
-    phi = nu + corr
-    return phi, c, gamma
+    return nu + gamma.apply_resolvent(nu)
 
 
 def range_condition_N2(theta, nu: PiecewiseFunction, gamma: GammaSolution):
@@ -529,31 +490,26 @@ def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolu
         - (theta_11 theta_21 / (theta_22 pi)) int_{I_1} Gamma_21 nu_1 / (det R_2) dx
 
     and symmetrically for c_2 (det Gamma == 1, kept explicit so this path
-    performs the same arithmetic as the general one).
+    performs the same arithmetic as the general one).  Like N2 it needs
+    theta = theta^t; the 1/R factors are read from g at the Nystrom nodes.
     """
     theta = as_theta(theta)
-    sys = nu.sys
-    if sys.n != 2:
+    if nu.sys.n != 2:
         raise ValueError("the two-interval specialization needs n == 2")
-    grid = gamma.nystrom.grid
-    split = gamma.nystrom.split
-    gams = split(gamma._at_nodes[0])
-    smooth = split(gamma._nodal(nu))
-
-    def rad(m, x):
-        return radical_eval(sys, m, x).real
-
+    if not theta.is_symmetric:
+        raise SymmetryError("the two-interval specialization needs theta = theta^t")
+    ns = gamma.nystrom
+    wnu = ns.split(np.concatenate(ns.grid.sqrt_weights) * gamma._nodal(nu))
+    gams = ns.split(gamma._at_nodes[0])
+    dets = [G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0] for G in gams]
+    g = [ns.split(row) for row in ns.g_nodes]  # g[a][k]: g_a on I_k
     out = np.zeros(2, dtype=complex)
+    # theta_km / R_m = theta_mm g_m on I_k (theta symmetric), and
+    # theta_mm theta_km / (theta_kk R_k) = theta_mm g_k on I_m
     for (m, k) in ((0, 1), (1, 0)):
-        x, g = grid.nodes[k], gams[k]
-        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-        cross = (theta[k, m] / np.pi) * np.sum(
-            grid.sqrt_weights[k] * smooth[k] * (g[:, k, k] / det) / rad(m, x))
-        xo, go = grid.nodes[m], gams[m]
-        deto = go[:, 0, 0] * go[:, 1, 1] - go[:, 0, 1] * go[:, 1, 0]
-        own = (theta[m, m] * theta[k, m] / (theta[k, k] * np.pi)) * np.sum(
-            grid.sqrt_weights[m] * smooth[m] * (-go[:, k, m] / deto) / rad(k, xo))
-        out[m] = cross + own
+        cross = np.sum(wnu[k] * (gams[k][:, k, k] / dets[k]) * g[m][k])
+        own = np.sum(wnu[m] * (-gams[m][:, k, m] / dets[m]) * g[k][m])
+        out[m] = (theta[m, m] / np.pi) * (cross + own)
     return out
 
 
@@ -593,7 +549,8 @@ def range_check_L1_variant(psi: PiecewiseFunction, c, nu: PiecewiseFunction,
     # (the own-interval moment is part of the nu g^t Gamma^{-1} integral; see
     # range_condition_N2)
     _, ginv, _ = gamma._at_nodes
-    rows = np.einsum("aq,qam->qm", gamma._node_g(theta.entries.T), ginv)
+    ns = gamma.nystrom
+    rows = np.einsum("aq,qam->qm", _stacked_g(ns.sys, theta.entries.T, ns.grid), ginv)
     resid_zero = gamma._node_moments(nu, rows)
     resid_int = np.pi * c - np.diag(theta.entries) * resid_zero  # i int psi_m/R_{m+} = pi c_m
     result = {"integrable": resid_int}

@@ -117,19 +117,11 @@ def radical_eval(sys: IntervalSystem, j, z, side=None):
     """R_j(z) = sqrt((z - alpha_j)(z - beta_j)), cut on I_j, R_j ~ z at infinity.
 
     ``side`` (+1 above / -1 below) selects the boundary value for real z
-    strictly inside I_j and is ignored elsewhere.
+    strictly inside I_j, where it is required, and is ignored elsewhere.
     """
     if not 0 <= j < sys.n:
         raise IndexError(f"interval index {j} out of range for n={sys.n}")
-    s = sys.to_unit(j, z)
-    if np.isrealobj(np.asarray(z)):
-        s = np.asarray(s, dtype=float)
-        off = (s >= 1.0) | (s <= -1.0)
-        use_side = side if not np.all(off) else None
-        if use_side is None and not np.all(off):
-            raise DomainError("side required for z inside the cut of R_j")
-    val = sys.half[j] * unit_radical(s, side)
-    return val
+    return sys.half[j] * unit_radical(sys.to_unit(j, z), side)
 
 
 def multi_radical_sqrt(sys: IntervalSystem, x, z):

@@ -408,16 +408,17 @@ def _cmd_invert(spec, sys, theta):
         "classification": theta.classification,
         "warning": res.diagnostics["warning"],
     }
+    diag["resolution"] = {"phi_modes": [a.size for a in res.phi.coeffs]}
     tables = {"phi": _table(res.phi), "nu": _table(res.nu)}
     if theta.classification == SPD:
-        phi_r, _, gam = invert_via_resolvent(
-            theta, psi, size=spec.param("nystrom"))
+        gam = build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
+        phi_r = invert_via_resolvent(res.nu, gam)
         x = np.concatenate([sys.from_unit(j, np.linspace(-0.95, 0.95, 24))
                             for j in range(sys.n)])
         disc = float(np.max(np.abs(res.phi(x) - phi_r(x))))
         diag["two_path_discrepancy"] = _check(disc, tol)
-        diag["resolution"] = {**gam.density_resolution(),
-                              "resolvent_modes": [c.size for c in phi_r.coeffs]}
+        diag["resolution"].update(gam.density_resolution(),
+                                  resolvent_modes=[a.size for a in phi_r.coeffs])
         tables["phi_resolvent"] = _table(phi_r)
     return diag, tables
 

@@ -5,13 +5,15 @@ a second-kind equation (Id - K) phi = nu with
 
     nu   = per-interval inversion of (psi - c[psi]) / theta_jj,
     K    = integral operator with the real bounded kernel
-           K(z, x) = theta_jk w_j(z) / (pi theta_jj R_j(x) (x - z)),
+           K(z, x) = theta_jk w_j(z) / (pi theta_jj R_j(x) (x - z))
+                   = w_j(z) g_j(x) / (pi (x - z)),
            z in I_j, x in I_k, k != j,
 
-supported off the block diagonal.  The solver collocates on Gauss nodes of
-the second-kind Chebyshev family so the sqrt weight of the unknown is
-absorbed exactly: the linear system acts on smooth parts and converges
-geometrically for analytic data.
+supported off the block diagonal; g is the vector of the integrable
+kernel (``kernel_g``), from which the matrix is built.  The solver
+collocates on Gauss nodes of the second-kind Chebyshev family so the sqrt
+weight of the unknown is absorbed exactly: the linear system acts on
+smooth parts and converges geometrically for analytic data.
 """
 
 from __future__ import annotations
@@ -158,13 +160,34 @@ def compute_nu(psi: PiecewiseFunction, c=None, theta=None) -> PiecewiseFunction:
 # Nystrom discretization of Id - K/lambda
 
 
+def kernel_g(sys: IntervalSystem, theta, k, x):
+    """g(x) of the integrable kernel at points x inside I_k; shape (n, len(x)).
+
+    g_a(x) = theta_ak / (theta_aa R_a(x)) for a != k, and row k is zero.
+    ``theta`` is a ThetaMatrix or an array; the transpose gives g of theta^t.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros((sys.n, x.size))
+    for a in range(sys.n):
+        if a != k:
+            out[a] = theta[a, k] / (theta[a, a] * radical_eval(sys, a, x).real)
+    return out
+
+
+def _stacked_g(sys: IntervalSystem, theta, grid: QuadratureGrid):
+    """kernel_g at the stacked nodes of a grid; shape (n, total nodes)."""
+    return np.hstack([kernel_g(sys, theta, k, x) for k, x in enumerate(grid.nodes)])
+
+
 @dataclass
 class NystromSystem:
     """Dense collocation of Id - K/lambda on per-interval Gauss grids.
 
     The unknowns are smooth parts: phi = w_j * p on I_j, and the matrix acts
     on the stacked node values of p.  ``kernel`` is the K-part alone (zero
-    diagonal blocks), ``matrix`` = Id - kernel/lambda.
+    diagonal blocks), ``matrix`` = Id - kernel/lambda.  ``g_nodes`` holds g
+    at the stacked nodes, so block (j, k) of ``kernel`` is
+    g_j(x) sw(x) / (pi (x - z)).
     """
 
     sys: IntervalSystem
@@ -174,7 +197,7 @@ class NystromSystem:
     matrix: np.ndarray = field(repr=False)
     kernel: np.ndarray = field(repr=False)
     offsets: np.ndarray
-    rad_nodes: np.ndarray = field(repr=False)  # R_j at every node (own block: w_j)
+    g_nodes: np.ndarray = field(repr=False)
 
     @property
     def size(self):
@@ -197,14 +220,12 @@ class NystromSystem:
         vals = np.asarray(node_values)
         z = np.atleast_1d(np.asarray(targets, dtype=float))
         acc = np.zeros(z.shape + vals.shape[1:], dtype=np.result_type(vals, float))
-        th = self.theta
         for k in range(self.sys.n):
             if k == j:
                 continue
             own = slice(self.offsets[k], self.offsets[k + 1])
             x = self.grid.nodes[k]
-            scale = (th[j, k] / (np.pi * th[j, j])) * (
-                self.grid.sqrt_weights[k] / self.rad_nodes[j, own])
+            scale = self.g_nodes[j, own] * self.grid.sqrt_weights[k] / np.pi
             cauchy = 1.0 / (x[None, :] - z[:, None])
             acc += _real_matmul(cauchy, (scale * vals[own].T).T)
         return acc
@@ -238,15 +259,8 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = offsets[-1]
 
-    allnodes = np.concatenate(grid.nodes)
-    rad_nodes = np.empty((sys.n, total))
-    for j in range(sys.n):
-        own = slice(offsets[j], offsets[j + 1])
-        outside = np.ones(total, dtype=bool)
-        outside[own] = False
-        rad_nodes[j, outside] = radical_eval(sys, j, allnodes[outside]).real
-        rad_nodes[j, own] = sys.weight(j, allnodes[own])  # |R_{j+}| on the own cut
-
+    g_nodes = _stacked_g(sys, theta, grid)
+    gsw = g_nodes * np.concatenate(grid.sqrt_weights) / np.pi
     kern = np.zeros((total, total))
     for j in range(sys.n):
         zj = grid.nodes[j]
@@ -255,19 +269,17 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
             if k == j:
                 continue
             cols = slice(offsets[k], offsets[k + 1])
-            coef = theta[j, k] / (np.pi * theta[j, j])
-            # coef sw / (R_j(x) (x - z)), written into the block in place
+            # g_j(x) sw / (pi (x - z)), written into the block in place
             block = kern[rows, cols]
             np.subtract(grid.nodes[k][None, :], zj[:, None], out=block)
-            block *= rad_nodes[j, cols]
-            np.divide(coef * grid.sqrt_weights[k], block, out=block)
+            np.divide(gsw[j, cols], block, out=block)
 
     complex_lam = np.iscomplexobj(np.asarray(lam)) and np.imag(lam) != 0
     matrix = np.divide(kern, -(lam if complex_lam else np.real(lam)))  # -K/lambda
     matrix.flat[:: total + 1] += 1.0
     return NystromSystem(sys=sys, theta=theta, grid=grid, lam=lam,
                          matrix=matrix, kernel=kern, offsets=offsets,
-                         rad_nodes=rad_nodes)
+                         g_nodes=g_nodes)
 
 
 def _solve_refined(A, b):
@@ -368,10 +380,12 @@ class SolveResult:
 def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResult:
     """Nystrom solution of (Id - K) phi = nu with diagnostics.
 
-    Diagnostics: linear-system residual, smallest singular value, and the
-    second range-condition residual of the recovered solution.  For non-SPD
-    classifications with a nonzero off-diagonal part the invertibility of
-    Id - K is certified numerically only; a warning records that.
+    phi is sampled on ``nmodes`` U nodes per interval and each interval's
+    series is kept to its standard chop at eps.  Diagnostics: linear-system
+    residual, smallest singular value, and the second range-condition
+    residual of the recovered solution.  For non-SPD classifications with a
+    nonzero off-diagonal part the invertibility of Id - K is certified
+    numerically only; a warning records that.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -411,7 +425,8 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
         p = cheb.chebU_nodal(nu.coeffs[j], nmodes) + ns.kernel_apply_smooth(
             sol, j, z) / ns.lam
         smooth.append(np.real(p) if real_data else p)
-    phi = PiecewiseFunction.from_smooth_values(sys, smooth, weighted=True)
+    coeffs = [cheb.chebU_coeffs(v) for v in smooth]
+    phi = PiecewiseFunction(sys, [a[: cheb.chop(a)] for a in coeffs], weighted=True)
 
     diag = {
         "residual": residual,
@@ -422,38 +437,37 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     return SolveResult(phi=phi, c=c, nu=nu, nystrom=ns, diagnostics=diag)
 
 
-def _piece_integral(pf: PiecewiseFunction, k, m, fn):
-    """int_{I_k} pf_k(y) fn(y) dy with the weight-appropriate Gauss rule.
+def _piece_rule(pf: PiecewiseFunction, k, size):
+    """Nodes x and weights w on I_k with sum w h(x) = int_{I_k} pf_k(y) h(y) dy.
 
-    fn is analytic off I_m, so the size is that of ``_cross_nodes``.
+    The Gauss rule of the piece's weight class, with ``size`` nodes.
     """
-    sys = pf.sys
-    sub = IntervalSystem([sys.endpoints[k]])
-    size = _cross_nodes(sys, k, m, pf.coeffs[k].shape[0])
+    sub = IntervalSystem([pf.sys.endpoints[k]])
     if pf.weighted:
         grid = chebyshev2_grid(sub, size)
-        smooth = cheb.chebU_nodal(pf.coeffs[k], size)
-        return np.sum(grid.sqrt_weights[0] * smooth * fn(grid.nodes[0]))
+        return grid.nodes[0], grid.sqrt_weights[0] * cheb.chebU_nodal(pf.coeffs[k], size)
     grid = legendre_grid(sub, size)
-    x = grid.nodes[0]
-    return np.sum(grid.weights[0] * pf.piece_values(k, x) * fn(x))
+    return grid.nodes[0], grid.weights[0] * pf.piece_values(k, grid.nodes[0])
 
 
 def _range2_moments(theta, phi: PiecewiseFunction):
-    """(1/pi) sum_{k != m} theta_mk int_{I_k} phi_k / R_m dy, per m."""
+    """(1/pi) sum_{k != m} theta_mk int_{I_k} phi_k / R_m dy, per m.
+
+    On I_k, theta_mk / R_m = theta_mm g_m, so each interval takes one rule
+    against every row of g, sized by ``_cross_nodes`` for the nearest other
+    interval (g_m is analytic off I_m).
+    """
     theta = as_theta(theta)
     sys = phi.sys
     out = np.zeros(sys.n, dtype=complex)
-    for m in range(sys.n):
-        for k in range(sys.n):
-            if k == m or theta[m, k] == 0.0:
-                continue
-
-            def inv_rad(x, m=m):
-                return 1.0 / radical_eval(sys, m, x).real
-
-            out[m] += theta[m, k] * _piece_integral(phi, k, m, inv_rad)
-    return out / np.pi
+    if sys.n == 1:
+        return out
+    for k in range(sys.n):
+        size = max(_cross_nodes(sys, k, m, phi.coeffs[k].shape[0])
+                   for m in range(sys.n) if m != k)
+        x, w = _piece_rule(phi, k, size)
+        out += kernel_g(sys, theta, k, x) @ w
+    return np.diag(theta.entries) * out / np.pi
 
 
 def residual_range2(theta, phi: PiecewiseFunction, c):

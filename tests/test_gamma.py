@@ -73,19 +73,23 @@ def test_kernel_degenerate_rejected(sys2):
         build_kernel_vectors(sys2, ThetaMatrix([[0.0, 1.0], [1.0, 1.0]]))
 
 
-def test_kernel_matches_nystrom_kernel(sys2, theta2):
-    # f^t(z) g(x) / (2 pi i (z - x)) = K(z, x): check the assembled matrix,
-    # whose smooth-part entries are K(z, x) sw_x / w_j(z)
-    kd = build_kernel_vectors(sys2, theta2)
-    ns = assemble_K(sys2, theta2, size=10)
-    z = ns.grid.nodes[0][3]
-    x = ns.grid.nodes[1][5]
-    kval = np.dot(kd.f_vector(z), kd.g_vector(x)) / (2j * np.pi * (z - x))
-    assert abs(kval.imag) <= 1e-15 * abs(kval)
-    entry = ns.kernel[3, ns.offsets[1] + 5]
-    sw = ns.grid.sqrt_weights[1][5]
-    wz = sys2.weight(0, z)
-    assert entry == pytest.approx(float(np.real(kval)) * sw / wz, rel=1e-12)
+KERNEL_BLOCKS = [(n, j, k) for n in (2, 3) for j in range(n) for k in range(n) if j != k]
+
+
+@pytest.mark.parametrize("n, j, k", KERNEL_BLOCKS)
+def test_kernel_matches_nystrom_kernel(request, n, j, k):
+    # f^t(z) g(x) / (2 pi i (z - x)) = K(z, x): check every entry of the
+    # assembled block (j, k), whose smooth-part entries are K(z, x) sw_x / w_j(z)
+    sys = request.getfixturevalue(f"sys{n}")
+    theta = request.getfixturevalue(f"theta{n}")
+    kd = build_kernel_vectors(sys, theta)
+    ns = assemble_K(sys, theta, size=10)
+    z, x = ns.grid.nodes[j], ns.grid.nodes[k]
+    kval = (kd.f_vector(z) @ kd.g_vector(x).T) / (2j * np.pi * np.subtract.outer(z, x))
+    assert np.all(np.abs(kval.imag) <= 1e-15 * np.abs(kval))
+    block = ns.kernel[ns.offsets[j]: ns.offsets[j + 1], ns.offsets[k]: ns.offsets[k + 1]]
+    expect = kval.real * ns.grid.sqrt_weights[k][None, :] / sys.weight(j, z)[:, None]
+    np.testing.assert_allclose(block, expect, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -481,32 +485,42 @@ def test_compute_F_leaves_the_nystrom_matrices_unchanged(sys3, theta3, lam):
     assert residual <= 1e-13 * np.max(np.abs(smooth))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_node_cache_A_matches_gtinv_per_interval(request, n):
+    sys = request.getfixturevalue(f"sys{n}")
+    gam = build_gamma(sys, request.getfixturevalue(f"theta{n}"), size=40)
+    _, _, A = gam._at_nodes
+    ns = gam.nystrom
+    for k, (nodes, Ak) in enumerate(zip(ns.grid.nodes, ns.split(A))):
+        ref = gam.gtinv(k, nodes)
+        assert np.max(np.abs(Ak - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 # -- inversion via the resolvent --------------------------------------------------
 
 
 def test_invert_via_resolvent_diagonal_returns_nu(sys2):
     th = ThetaMatrix([[2.0, 0.0], [0.0, 3.0]])
     psi = PiecewiseFunction.from_callable(sys2, lambda x: x, N=10)
-    phi, c, _ = invert_via_resolvent(th, psi, size=24)
-    nu = compute_nu(psi, c, th)
+    nu = compute_nu(psi, compute_c(psi), th)
+    phi = invert_via_resolvent(nu, build_gamma(sys2, th, size=24))
     x = interior_points(sys2, 11)
     np.testing.assert_allclose(phi(x), nu(x), atol=1e-12)
 
 
 def test_invert_via_resolvent_zero(sys2, theta2, gamma2):
     psi = PiecewiseFunction.zeros(sys2, 8)
-    phi, c, _ = invert_via_resolvent(theta2, psi, gamma=gamma2)
+    phi = invert_via_resolvent(compute_nu(psi, compute_c(psi), theta2), gamma2)
     assert phi.norm2() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_two_path_equivalence(sys2, theta2, gamma2, rt2):
     phi0, psi, c, nu = rt2
     res = solve_phi(theta2, psi, size=96)
-    phi_r, c_r, _ = invert_via_resolvent(theta2, psi, gamma=gamma2)
+    phi_r = invert_via_resolvent(nu, gamma2)
     x = interior_points(sys2, 30)
     assert np.max(np.abs(res.phi(x) - phi_r(x))) <= 1e-6
     assert np.max(np.abs(phi_r(x) - phi0(x))) <= 1e-6
-    np.testing.assert_allclose(c_r, c, atol=1e-14)
 
 
 # -- range conditions --------------------------------------------------------------

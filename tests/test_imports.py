@@ -54,3 +54,29 @@ def test_every_defined_function_is_referenced():
         (ROOT / "demos").glob("*.py"))
     referenced = set().union(*(_referenced(ast.parse(p.read_text())) for p in files))
     assert sorted(defined - referenced) == []
+
+
+def _callers(tree, callee):
+    """Name of the innermost function around each call of ``callee``."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                fn = child.func
+                if getattr(fn, "id", getattr(fn, "attr", None)) == callee:
+                    out.append(owner)
+            visit(child, getattr(child, "name", owner)
+                  if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_the_kernel_reads_the_radical_in_one_place():
+    # g_a = theta_ak / (theta_aa R_a) is the only use of R_a outside its own
+    # interval: the Nystrom matrix, Gamma and the range moments all read g
+    callers = [f"{name}:{owner}" for name in ("solver.py", "gamma.py")
+               for owner in _callers(ast.parse((SRC / name).read_text()), "radical_eval")]
+    assert callers == ["solver.py:kernel_g"]

@@ -5,6 +5,7 @@ import pytest
 
 import mifht.gamma
 import mifht.uniform
+from mifht import chebyshev as cheb
 from mifht import DegenerateDiagonalError, RangeViolationError, SchemaError
 from mifht.chebyshev import (
     PiecewiseFunction,
@@ -269,6 +270,30 @@ def test_resolution_diagnostics_report_the_chopped_series():
         res = run_command(spec).diagnostics["resolution"]
         assert res == {"gamma_density_modes": [64] * 3,
                        "gamma_density_capped": [True] * 3}
+
+
+def test_invert_chops_phi_and_reports_its_modes(monkeypatch):
+    spec = parse_problem(N3_SPD.replace("nystrom = 48", "nystrom = 256"))
+    modes = run_command(spec).diagnostics["resolution"]["phi_modes"]
+    # n3 phi resolves well within the 128 sampled modes
+    assert len(modes) == 3 and all(m <= 64 for m in modes)
+    sys, theta = spec.system(), spec.theta_matrix()
+    psi = build_rhs(spec, sys, theta)
+    chopped = solve_phi(theta, psi, size=256, nmodes=spec.param("modes")).phi
+    assert [a.size for a in chopped.coeffs] == modes
+    monkeypatch.setattr(cheb, "chop", lambda coeffs: np.shape(coeffs)[-1])
+    full = solve_phi(theta, psi, size=256, nmodes=spec.param("modes")).phi
+    assert all(a.size == spec.param("modes") for a in full.coeffs)
+    x = np.concatenate([sys.from_unit(j, np.linspace(-0.99, 0.99, 41))
+                        for j in range(sys.n)])
+    ref = full(x)
+    assert np.max(np.abs(chopped(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # every invert reports the kept lengths, SPD or not
+    with pytest.warns(UserWarning, match="not symmetric positive definite"):
+        other = run_command(parse_problem(N3_SPD.replace(
+            "[[1,0.5,0.5],[0.5,1,0.5],[0.5,0.5,1]]",
+            "[[1,0.5,0.1],[0.2,1,0.5],[0.5,0.3,1]]")))
+    assert set(other.diagnostics["resolution"]) == {"phi_modes"}
 
 
 # -- per-point references for the command diagnostics ---------------------------
