@@ -151,26 +151,35 @@ def chop(coeffs):
     return max(int(np.argmin(ramp)), 1)
 
 
+def _clenshaw(coeffs, s):
+    """Last two iterates c_0, c_1 of c_k = coef_k + 2 s c_{k+1} - c_{k+2}.
+
+    The recurrence runs in three preallocated buffers; each step rounds as
+    ``coef + (2 s) c - c_prev`` did when written as one expression.
+    """
+    s = np.asarray(s)
+    coeffs = np.asarray(coeffs)
+    c0 = np.zeros(s.shape, dtype=np.result_type(coeffs.dtype, s.dtype, float))
+    c1 = np.zeros_like(c0)
+    new = np.empty_like(c0)
+    s2 = 2 * s
+    for coef in coeffs[::-1]:
+        np.multiply(s2, c0, out=new)
+        new += coef
+        new -= c1
+        c0, c1, new = new, c0, c1
+    return c0, c1
+
+
 def clenshaw_T(b, s):
     """Evaluate sum b_n T_n(s); s may be real or complex, any shape."""
-    s = np.asarray(s)
-    b = np.asarray(b)
-    c0 = np.zeros(s.shape, dtype=np.result_type(b.dtype, s.dtype, float))
-    c1 = np.zeros_like(c0)
-    for coef in b[::-1]:
-        c0, c1 = coef + 2 * s * c0 - c1, c0
+    c0, c1 = _clenshaw(b, s)
     return c0 - s * c1
 
 
 def clenshaw_U(a, s):
     """Evaluate sum a_k U_k(s)."""
-    s = np.asarray(s)
-    a = np.asarray(a)
-    c0 = np.zeros(s.shape, dtype=np.result_type(a.dtype, s.dtype, float))
-    c1 = np.zeros_like(c0)
-    for coef in a[::-1]:
-        c0, c1 = coef + 2 * s * c0 - c1, c0
-    return c0
+    return _clenshaw(a, s)[0][()]
 
 
 def chebU_to_T(a):

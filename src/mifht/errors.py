@@ -71,7 +71,3 @@ class RangeViolationError(MifhtError):
 
 class SchemaError(MifhtError):
     """A problem file failed to parse; message carries line/field context."""
-
-
-class TruncationWarning(UserWarning):
-    """Channel energy near the t-grid boundary exceeds the trust threshold."""

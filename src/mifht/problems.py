@@ -502,6 +502,7 @@ def _cmd_uniform_invert(spec, sys, theta):
         "roundtrip_residual": _check(
             float(np.max(np.abs(gg(x) - g(x)))), 1e-4 * (1 + g.norm2())),
         "grid": {"npoints": grid.npoints, "dt": grid.dt},
+        "resolution": {"t_boundary_fraction": verdict["t_boundary_fraction"]},
     }
     return diag, {"f": _table(f)}
 

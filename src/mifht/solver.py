@@ -383,9 +383,10 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     phi is sampled on ``nmodes`` U nodes per interval and each interval's
     series is kept to its standard chop at eps.  Diagnostics: linear-system
     residual, smallest singular value, and the second range-condition
-    residual of the recovered solution.  For non-SPD classifications with a
-    nonzero off-diagonal part the invertibility of Id - K is certified
-    numerically only; a warning records that.
+    residual of the recovered solution.  Id - K is invertible by theorem for
+    SPD theta and for the all-ones theta (classification ``uniform``); for
+    the other classifications with a nonzero off-diagonal part its
+    invertibility is certified numerically only, and a warning records that.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -412,7 +413,7 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     residual = float(np.max(np.abs(ns.matrix @ sol - rhs)) / (1.0 + np.max(np.abs(rhs))))
 
     warn = None
-    if theta.classification != SPD and np.any(theta.off):
+    if theta.classification not in (SPD, UNIFORM) and np.any(theta.off):
         warn = ("theta is not symmetric positive definite: invertibility of "
                 "Id - K is certified numerically only (sigma_min = %.3e)" % sigma_min)
         warnings.warn(warn, stacklevel=2)

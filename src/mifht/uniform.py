@@ -26,11 +26,9 @@ multiplier; membership in the range is the L^2_loc condition on
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import chebyshev as cheb
 from .chebyshev import PiecewiseFunction
@@ -38,7 +36,6 @@ from .errors import (
     NonPositiveEigenvalueError,
     RangeExceededError,
     RangeViolationError,
-    TruncationWarning,
 )
 from .intervals import IntervalSystem
 
@@ -51,6 +48,7 @@ NEWTON_MAX_ITER = 60      # enough for bisection alone to reach rounding
 LAMBDA0 = 0.25            # window of the low-frequency range diagnostic
 MULTIPLIER_FLOOR = 1e-8   # multiplier values below this are not divided by
 EXTRA_MODES = 8           # output modes beyond those of the input
+BOUNDARY_TOL = 1e-8       # trusted share of channel energy near the t-grid ends
 
 
 @dataclass(frozen=True)
@@ -181,32 +179,36 @@ class SpectralData:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.stack([_polyval(x, self.omega[j]) for j in range(self.sys.n)])
 
-    def mixing_column(self, x):
+    def mixing_column(self, x, q=None):
         """Column k of M at t = phi(x)/2 for x in I_k: P_j(x) sqrt(rho_j / Q(x)).
 
         x_k = phi_k^{-1}(2t) is x itself, so no inverse map is needed;
-        shape (n,) + shape(x), with at least one trailing axis.
+        shape (n,) + shape(x), with at least one trailing axis.  ``q`` is
+        Q(x) when the caller already has it.
         """
         pj = self.eig_poly_eval(x)
         rho = self.rho.reshape((-1,) + (1,) * (pj.ndim - 1))
-        return pj * np.sqrt(rho / self.q_eval(x))
+        return pj * np.sqrt(rho / (self.q_eval(x) if q is None else q))
 
     # -- inverse of phi on each interval --------------------------------------
 
     def inverse_map(self, k, t):
         """x = phi_k^{-1}(2t) with endpoint-safe companions.
 
-        Returns dict with x, dist_a = x - alpha_k, dist_b = beta_k - x and
-        |phi'(x)|; the distances stay accurate in the exponential tails
-        where x itself rounds to the endpoint.
+        Returns dict with x, dist_a = x - alpha_k, dist_b = beta_k - x,
+        |phi'(x)| and q = Q(x); the distances stay accurate in the
+        exponential tails where x itself rounds to the endpoint.
 
         The unknown is zeta = log(dist_a / dist_b), so x = alpha_k + L
         expit(zeta) and phi(x) = 2t reads G(zeta) = h(x) - zeta - 2t = 0
-        with h(x) = sum_{j != k} log |(x - beta_j) / (x - alpha_j)|.  h
+        with h(x) = log prod_{j != k} (x - beta_j) / (x - alpha_j).  h
         increases on I_k, so -1 < G' < 0 and G is at least 1 at
-        h(alpha_k) - 2t - 1 and at most -1 at h(beta_k) - 2t + 1.  Newton
-        steps in zeta are kept inside that bracket by bisection
-        (Numerical Recipes 9.4, rtsafe).
+        h(alpha_k) - 2t - 1 and at most -1 at h(beta_k) - 2t + 1.  One
+        fixed-point step zeta <- h(x(zeta)) - 2t from the bracket midpoint
+        starts the iteration (it lands the exponential tails, where h is
+        flat, on their root); Newton steps in zeta are then kept inside the
+        bracket by bisection (Numerical Recipes 9.4, rtsafe) and run only on
+        the points whose residual test has not passed yet.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         y = 2.0 * t
@@ -219,24 +221,33 @@ class SpectralData:
         others = [j for j in range(sys.n) if j != k]
 
         def h(x):
-            out = np.zeros(np.shape(x))
+            """h(x) and h'(x)."""
+            ratio, slope = np.ones(np.shape(x)), np.zeros(np.shape(x))
             for j in others:
-                out += np.log((x - sys.beta[j]) / (x - sys.alpha[j]))
-            return out
+                xa, xb = x - sys.alpha[j], x - sys.beta[j]
+                ratio *= xb / xa
+                slope += (sys.beta[j] - sys.alpha[j]) / (xb * xa)
+            return np.log(ratio), slope
 
         def place(zeta):
-            dist_a, dist_b = length * expit(zeta), length * expit(-zeta)
-            return dist_a, dist_b, np.where(zeta < 0.0, a + dist_a, b - dist_b)
+            # L expit(+-zeta) from one exponential
+            e = np.exp(-np.abs(zeta))
+            far = length / (1.0 + e)
+            near = far * e
+            up = zeta >= 0.0
+            dist_a, dist_b = np.where(up, far, near), np.where(up, near, far)
+            return dist_a, dist_b, np.where(up, b - dist_b, a + dist_a)
 
-        lo = h(a) - y - 1.0
-        hi = h(b) - y + 1.0
-        zeta = 0.5 * (lo + hi)
+        h_ends = h(np.array([a, b]))[0]
+        lo = h_ends[0] - y - 1.0
+        hi = h_ends[1] - y + 1.0
+        zeta = h(place(0.5 * (lo + hi))[2])[0] - y
+        out = zeta.copy()
+        idx = np.arange(y.size)          # points still iterating
         for _ in range(NEWTON_MAX_ITER):
             dist_a, dist_b, x = place(zeta)
-            hx = h(x)
+            hx, hp = h(x)
             g = hx - zeta - y
-            hp = sum((sys.beta[j] - sys.alpha[j])
-                     / ((x - sys.beta[j]) * (x - sys.alpha[j])) for j in others)
             lo = np.where(g > 0.0, zeta, lo)
             hi = np.where(g > 0.0, hi, zeta)
             new = zeta - g / (hp * dist_a * dist_b / length - 1.0)
@@ -244,24 +255,44 @@ class SpectralData:
             # the Newton step from a residual this small is exact to rounding;
             # a tighter test can stall on the rounding of h
             done = np.abs(g) <= 1e-13 * (1.0 + np.abs(hx) + np.abs(y))
-            zeta = new
+            out[idx] = new
             if np.all(done):
                 break
-        dist_a, dist_b, x = place(zeta)
+            keep = ~done
+            idx, zeta, y, lo, hi = (v[keep] for v in (idx, new, y, lo, hi))
+        dist_a, dist_b, x = place(out)
 
-        rest_prod = np.ones(y.shape)
+        rest_prod = np.ones(x.shape)
         for j in others:
-            rest_prod *= np.abs(x - sys.alpha[j]) * np.abs(x - sys.beta[j])
-        absphip = self.q_eval(x) / (dist_a * dist_b * rest_prod)
-        return {"x": x, "dist_a": dist_a, "dist_b": dist_b, "absphip": absphip}
+            rest_prod *= (x - sys.alpha[j]) * (x - sys.beta[j])  # > 0 off I_j
+        q = self.q_eval(x)
+        absphip = q / (dist_a * dist_b * rest_prod)
+        return {"x": x, "dist_a": dist_a, "dist_b": dist_b, "absphip": absphip,
+                "q": q}
 
     def tables(self, grid: TGrid):
+        """Inverse maps and everything ``apply_T`` reads, once per grid.
+
+        Per interval: the maps, s = (dist_a - dist_b) / L (the unit
+        coordinate), w = sqrt(dist_a dist_b) (the U weight), the T factor
+        sqrt(2) sgn(p_a) / sqrt(|phi'|) and the mixing matrix; shapes (n, P)
+        and (n_j, n_k, P).
+        """
         key = (grid.npoints, grid.dt)
         if key not in self._tables:
             maps = [self.inverse_map(k, grid.t) for k in range(self.sys.n)]
-            xk = np.stack([m["x"] for m in maps])          # (n, P)
-            mix = self.mixing_column(xk)                   # (n_j, n_k, P)
-            self._tables[key] = {"maps": maps, "x": xk, "mix": mix}
+            stack = {name: np.stack([m[name] for m in maps])
+                     for name in ("x", "dist_a", "dist_b", "absphip", "q")}
+            length = 2.0 * self.sys.half[:, None]
+            self._tables[key] = {
+                "maps": maps,
+                "x": stack["x"],
+                "s": (stack["dist_a"] - stack["dist_b"]) / length,
+                "w": np.sqrt(stack["dist_a"] * stack["dist_b"]),
+                "tfac": (np.sqrt(2.0) * self.sgn_odd[:, None]
+                         / np.sqrt(stack["absphip"])),
+                "mix": self.mixing_column(stack["x"], stack["q"]),
+            }
         return self._tables[key]
 
 
@@ -307,21 +338,27 @@ class ChannelVector:
 
 def apply_T(sd: SpectralData, f: PiecewiseFunction, grid: TGrid = None
             ) -> ChannelVector:
-    """Channel k: sqrt(2) sgn(p_a) f / sqrt(|phi'|) at x = phi_k^{-1}(2t)."""
+    """Channel k: sqrt(2) sgn(p_a) f / sqrt(|phi'|) at x = phi_k^{-1}(2t).
+
+    Where s rounds to +-1 (the exponential tails) the series takes its
+    closed-form end value, sum b_n (+-1)^n for T and sum a_k (+-1)^k (k + 1)
+    for U; Clenshaw runs on the rest.
+    """
     grid = grid or TGrid()
-    sys = sd.sys
     tab = sd.tables(grid)
-    data = np.zeros((sys.n, grid.npoints),
+    data = np.zeros((sd.sys.n, grid.npoints),
                     dtype=float if f.field == "real" else complex)
-    for k in range(sys.n):
-        m = tab["maps"][k]
-        s = (m["dist_a"] - m["dist_b"]) / (2.0 * sys.half[k])
+    series = cheb.clenshaw_U if f.weighted else cheb.clenshaw_T
+    for k, c in enumerate(f.coeffs):
+        s = tab["s"][k]
+        inner = np.abs(s) < 1.0
+        n = np.arange(c.shape[0])
+        at_one = c * (n + 1) if f.weighted else c    # the terms at s = 1
+        vals = np.where(s > 0.0, np.sum(at_one), np.sum(at_one * (-1.0) ** n))
+        vals[inner] = series(c, s[inner])
         if f.weighted:
-            w = np.sqrt(m["dist_a"] * m["dist_b"])
-            vals = w * cheb.clenshaw_U(f.coeffs[k], s)
-        else:
-            vals = cheb.clenshaw_T(f.coeffs[k], s)
-        data[k] = np.sqrt(2.0) * sd.sgn_odd[k] * vals / np.sqrt(m["absphip"])
+            vals *= tab["w"][k]
+        data[k] = tab["tfac"][k] * vals
     return ChannelVector(grid=grid, data=data)
 
 
@@ -355,16 +392,10 @@ def apply_T_inverse(sd: SpectralData, cv: ChannelVector, points=None,
 
 
 def _mixed_spectrum(sd, f, grid):
-    """F M T f: mix the channels pointwise in t, then transform."""
+    """F M T f, and the share of the energy of T f near the t-grid boundary."""
     cv = apply_T(sd, f, grid)
-    frac = cv.boundary_fraction()
-    if frac > 1e-8:
-        warnings.warn(
-            f"channel energy fraction {frac:.2e} near the t-grid boundary; "
-            "increase tmax", TruncationWarning, stacklevel=3)
-    tab = sd.tables(grid)
-    mixed = np.einsum("jkp,kp->jp", tab["mix"], cv.data)
-    return forward_ft(grid, mixed), cv
+    mixed = np.einsum("jkp,kp->jp", sd.tables(grid)["mix"], cv.data)
+    return forward_ft(grid, mixed), cv.boundary_fraction()
 
 
 def _demix_to_function(sd, spec, grid, weighted, source):
@@ -406,14 +437,17 @@ def uniform_range_check(sd: SpectralData, g: PiecewiseFunction,
     half-bin regularization, 4 |spec_m(0)|^2 / dlam, compared against
     tol * ||g||^2.  The windowed energy over 0 < |lambda| < LAMBDA0 is
     reported as a diagnostic (it stays finite on any fixed grid, so it
-    cannot by itself separate in-range from out-of-range data).
+    cannot by itself separate in-range from out-of-range data), and so is
+    the share of the energy of T g in the outer tenth of the t-grid,
+    ``t_boundary_fraction``: above ``BOUNDARY_TOL`` the grid truncates the
+    channels and the DC test can reject in-range data.
     """
-    grid = grid or TGrid()
-    spec, _ = _mixed_spectrum(sd, g, grid)
-    return _range_verdict(spec, grid, g, tol)
+    return _range_verdict(sd, g, grid or TGrid(), tol)[1]
 
 
-def _range_verdict(spec, grid, g, tol):
+def _range_verdict(sd, g, grid, tol):
+    """The mixed spectrum of g and the range verdict on it, as (spec, verdict)."""
+    spec, frac = _mixed_spectrum(sd, g, grid)
     dlam = grid.dlam
     lam = grid.lam
     norm2 = g.norm2() ** 2
@@ -422,12 +456,13 @@ def _range_verdict(spec, grid, g, tol):
     windowed = np.sum(np.abs(spec[:, window] / lam[None, window]) ** 2,
                       axis=1) * dlam
     passed = bool(np.all(dc_energy <= tol * norm2))
-    return {
+    return spec, {
         "pass": passed,
         "dc_energy": dc_energy,
         "windowed_energy": windowed,
         "tolerance": tol * norm2,
         "lambda0": LAMBDA0,
+        "t_boundary_fraction": frac,
     }
 
 
@@ -450,12 +485,16 @@ def uniform_invert_with_verdict(sd: SpectralData, g: PiecewiseFunction,
     the inversion uses, so the spectrum of g is computed once.
     """
     grid = grid or TGrid()
-    spec, _ = _mixed_spectrum(sd, g, grid)
-    verdict = _range_verdict(spec, grid, g, range_tol)
+    spec, verdict = _range_verdict(sd, g, grid, range_tol)
     if not verdict["pass"]:
-        raise RangeViolationError(
-            "low-frequency energy test failed: dc_energy = "
-            f"{verdict['dc_energy']} > {verdict['tolerance']:.3e}")
+        msg = ("low-frequency energy test failed: dc_energy = "
+               f"{verdict['dc_energy']} > {verdict['tolerance']:.3e}")
+        frac = verdict["t_boundary_fraction"]
+        if frac > BOUNDARY_TOL:
+            msg += (f"; t-grid boundary energy fraction {frac:.1e} > "
+                    f"{BOUNDARY_TOL:.0e}, so the grid may be too short: "
+                    "increase tmax")
+        raise RangeViolationError(msg)
     mult = 1j * np.tanh(np.pi * grid.lam / 2.0)
     inv = np.zeros_like(mult)
     keep = np.abs(mult) >= MULTIPLIER_FLOOR

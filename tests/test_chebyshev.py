@@ -65,6 +65,27 @@ def test_projection_exact_on_nodes():
                                atol=1e-14)
 
 
+@pytest.mark.parametrize("coef_field, s", [
+    (float, np.linspace(-1.0, 1.0, 41)),
+    (complex, np.linspace(-1.0, 1.0, 41)),
+    (float, np.array([[0.3 + 2j, -1.5 - 0.5j], [4.0 + 0j, 1j]])),
+    (float, 0.3),
+])
+def test_clenshaw_rounds_as_the_one_expression_recurrence(coef_field, s):
+    # the buffered recurrence must give the same bits as the textbook loop
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(15)
+    if coef_field is complex:
+        b = b + 1j * rng.standard_normal(15)
+    s = np.asarray(s)
+    c0 = c1 = np.zeros(s.shape, dtype=np.result_type(b, s, float))
+    for coef in b[::-1]:
+        c0, c1 = coef + 2 * s * c0 - c1, c0
+    assert np.array_equal(clenshaw_U(b, s), c0)
+    assert np.array_equal(clenshaw_T(b, s), c0 - s * c1)
+    assert np.shape(clenshaw_U(b, s)) == np.shape(s)
+
+
 def test_u_coeffs_round_trip():
     rng = np.random.default_rng(2)
     a = rng.standard_normal(9)

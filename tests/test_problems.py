@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ def test_uniform_invert_transforms_each_function_once(monkeypatch):
         run_command(parse_problem(UNIFORM_IN_RANGE.replace(
             "forward-of random-sqrt 8", "gaussian-bump")))
     assert len(calls) == 1
+
+
+def test_uniform_invert_reports_t_boundary_fraction():
+    """The t-grid boundary energy is a diagnostic, and names itself on rejection."""
+    text = UNIFORM_IN_RANGE.replace("(1,2.5)", "(1,2)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundle = run_command(parse_problem(text))
+        assert bundle.diagnostics["resolution"]["t_boundary_fraction"] < 1e-8
+        # a half-width of 2 cuts the channels off: in-range data is rejected,
+        # and the message says why
+        with pytest.raises(RangeViolationError,
+                           match=r"t-grid boundary energy fraction [0-9.]+e-02"):
+            run_command(parse_problem(text + "tmax = 2\n"))
 
 
 def test_gamma_check_evaluates_gamma_in_batches(monkeypatch):

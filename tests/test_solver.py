@@ -337,6 +337,17 @@ def test_solve_does_not_warn_when_theta_is_diagonal(sys2):
     assert res.diagnostics["warning"] is None
 
 
+def test_solve_does_not_warn_for_all_ones_theta(sys3):
+    # case (b): Id - K is injective by theorem, not a numerical finding
+    th = ThetaMatrix(np.ones((3, 3)))
+    assert th.classification == "uniform"
+    psi = forward_map(th, random_sqrt_vanishing(sys3, modes=8, seed=7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_phi(th, psi, size=32)
+    assert res.diagnostics["warning"] is None
+
+
 # -- second range condition residual -------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mifht import (
     PiecewiseFunction,
@@ -15,6 +16,8 @@ from mifht import (
 from mifht.errors import NonPositiveEigenvalueError
 from mifht.solver import random_sqrt_vanishing
 from mifht.uniform import (
+    NEWTON_MAX_ITER,
+    TABLE_LIMIT,
     ChannelVector,
     TGrid,
     apply_T,
@@ -30,7 +33,7 @@ from mifht.uniform import (
     uniform_invert_with_verdict,
     uniform_range_check,
 )
-from mifht.chebyshev import cheb1_nodes, cheb2_nodes
+from mifht.chebyshev import cheb1_nodes, cheb2_nodes, clenshaw_T, clenshaw_U
 
 GRID = TGrid(npoints=4096, dt=1.0 / 64.0)
 
@@ -152,6 +155,76 @@ def test_phi_inverse_distances_match_mpmath():
             np.testing.assert_allclose(got, np.array(expect), rtol=1e-13)
 
 
+def _all_points_newton(sd, k, t):
+    """(dist_a, dist_b, |phi'|) from rtsafe Newton in zeta on every point.
+
+    The plain form of ``inverse_map``: h as a sum of logs, two logistic
+    calls per step, the bracket midpoint as start, and every point iterated
+    until all pass the residual test.
+    """
+    sys = sd.sys
+    y = 2.0 * np.asarray(t, dtype=float)
+    a, b = sys.alpha[k], sys.beta[k]
+    length = b - a
+    others = [j for j in range(sys.n) if j != k]
+
+    def h(x):
+        out = np.zeros(np.shape(x))
+        for j in others:
+            out += np.log((x - sys.beta[j]) / (x - sys.alpha[j]))
+        return out
+
+    def place(zeta):
+        dist_a, dist_b = length * expit(zeta), length * expit(-zeta)
+        return dist_a, dist_b, np.where(zeta < 0.0, a + dist_a, b - dist_b)
+
+    lo = h(a) - y - 1.0
+    hi = h(b) - y + 1.0
+    zeta = 0.5 * (lo + hi)
+    for _ in range(NEWTON_MAX_ITER):
+        dist_a, dist_b, x = place(zeta)
+        hx = h(x)
+        g = hx - zeta - y
+        hp = sum((sys.beta[j] - sys.alpha[j])
+                 / ((x - sys.beta[j]) * (x - sys.alpha[j])) for j in others)
+        lo = np.where(g > 0.0, zeta, lo)
+        hi = np.where(g > 0.0, hi, zeta)
+        new = zeta - g / (hp * dist_a * dist_b / length - 1.0)
+        new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
+        done = np.abs(g) <= 1e-13 * (1.0 + np.abs(hx) + np.abs(y))
+        zeta = new
+        if np.all(done):
+            break
+    dist_a, dist_b, x = place(zeta)
+    rest = np.ones(y.shape)
+    for j in others:
+        rest *= np.abs(x - sys.alpha[j]) * np.abs(x - sys.beta[j])
+    return dist_a, dist_b, sd.q_eval(x) / (dist_a * dist_b * rest)
+
+
+@pytest.mark.parametrize("pts", [
+    [(-1.0, 1.0)],
+    [(-2.0, -1.0), (1.0, 2.5)],
+    [(-3.0, -2.0), (-1.0, 0.0), (1.0, 3.0)],
+    [(-3, -1.5), (-1.49, 0.2), (0.21, 1.0), (1.05, 4.0)],
+    [(-1.0, -5e-5), (5e-5, 1.0), (1.5, 2.5)],          # gap 1e-4
+], ids=["n1", "n2", "n3", "n4-tight", "gap-1e-4"])
+def test_inverse_map_matches_all_points_newton(pts):
+    sd = build_spectral_data(make_interval_system(pts))
+    half = TABLE_LIMIT / 2.0
+    t = np.concatenate([GRID.t, np.linspace(-half, half, 2001)])
+    for k in range(sd.sys.n):
+        m = sd.inverse_map(k, t)
+        ref = _all_points_newton(sd, k, t)
+        # both solve for zeta to the same residual test, so they agree to a
+        # few roundings of zeta, which dist and |phi'| carry relatively; that
+        # is also how far each is from a 60-digit root (~6e-14 at |2t| = 400)
+        zeta = np.log(ref[0] / ref[1])
+        rtol = 1e-14 * (1.0 + np.abs(zeta))
+        for key, r in zip(("dist_a", "dist_b", "absphip"), ref):
+            assert np.all(np.abs(m[key] - r) <= rtol * r), key
+
+
 def test_phi_inverse_range_exceeded(sd1):
     with pytest.raises(RangeExceededError):
         sd1.inverse_map(0, np.array([300.0]))
@@ -193,6 +266,34 @@ def test_apply_T_constant_is_sech(sd1):
     one = PiecewiseFunction.from_callable(sd1.sys, lambda x: np.ones_like(x), N=6)
     cv = apply_T(sd1, one, GRID)
     np.testing.assert_allclose(cv.data[0] * np.cosh(GRID.t), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["U", "T"])
+@pytest.mark.parametrize("field", [float, complex])
+def test_apply_T_matches_clenshaw_at_every_point(sd2, weighted, field):
+    tab = sd2.tables(GRID)
+    ends = np.abs(tab["s"]) == 1.0
+    assert np.all(np.mean(ends, axis=1) >= 0.4)  # the end-value rule runs
+    rng = np.random.default_rng(47)
+    coeffs = [rng.standard_normal(12) for _ in range(2)]
+    if field is complex:
+        coeffs = [c + 1j * rng.standard_normal(12) for c in coeffs]
+    f = PiecewiseFunction(sd2.sys, coeffs, weighted=weighted)
+    got = apply_T(sd2, f, GRID).data
+    n = np.arange(12)
+    for k, c in enumerate(coeffs):
+        m = tab["maps"][k]
+        s = (m["dist_a"] - m["dist_b"]) / (2.0 * sd2.sys.half[k])
+        factor = np.sqrt(2.0) * sd2.sgn_odd[k] / np.sqrt(m["absphip"])
+        if weighted:
+            factor = factor * np.sqrt(m["dist_a"] * m["dist_b"])
+            direct, size = clenshaw_U(c, s), np.sum(np.abs(c) * (n + 1))
+        else:
+            direct, size = clenshaw_T(c, s), np.sum(np.abs(c))
+        # relative to the size of the terms (the conditioning of the sum),
+        # point by point: an end value sum a_k (k + 1) can cancel far below it
+        err = np.abs(got[k] - factor * direct)
+        assert np.all(err <= 1e-14 * size * np.abs(factor))
 
 
 def test_apply_T_zero(sd2):
