@@ -136,8 +136,8 @@ def compute_F(nystrom: NystromSystem, kernel: IntegrableKernelData):
     if sigma_min < 1e-12 * sigma_max:
         raise NearSingularError(
             f"Id - K/lambda numerically singular: sigma_min = {sigma_min:.3e}")
-    smooth = _solve_refined(ns.matrix, rhs).T  # (n, total)
-    residual = float(np.max(np.abs(_real_matmul(ns.matrix, smooth.T) - rhs)))
+    smooth = _solve_refined(ns, rhs).T  # (n, total)
+    residual = float(np.max(np.abs(ns.apply(smooth.T) - rhs)))
     wts = np.concatenate([ns.sys.weight(l, ns.grid.nodes[l]) for l in range(n)])
     values = smooth * wts[None, :]
     return smooth, values, residual

@@ -100,6 +100,8 @@ class ProblemSpec:
         if t.shape != (n, n):
             raise SchemaError(
                 f"theta shape {t.shape} does not match {n} intervals")
+        if not np.all(np.isfinite(t)):
+            raise SchemaError("theta: entries must be finite")
         return ThetaMatrix(t)
 
 
@@ -209,15 +211,26 @@ def build_rhs(spec: ProblemSpec, sys: IntervalSystem, theta: ThetaMatrix
     return _build_preset(spec.rhs, spec, sys, theta)
 
 
-def _arg(name, args, i, conv, default):
-    """Preset argument i converted by conv, or the default when absent."""
+def _arg(name, args, i, conv, default, low=None, above=None):
+    """Preset argument i converted by conv, or the default when absent.
+
+    Every argument must be finite; ``low`` bounds it from below inclusively
+    and ``above`` strictly.
+    """
     if len(args) <= i:
         return default
     try:
-        return conv(args[i])
+        val = conv(args[i])
     except ValueError:
         raise SchemaError(f"rhs {name}: argument {i + 1} must be "
                           f"{conv.__name__}, got {args[i]!r}") from None
+    if not np.isfinite(val) or (low is not None and val < low) or (
+            above is not None and val <= above):
+        bound = (f" and at least {low}" if low is not None else
+                 f" and above {above}" if above is not None else "")
+        raise SchemaError(f"rhs {name}: argument {i + 1} must be finite{bound}, "
+                          f"got {args[i]!r}")
+    return val
 
 
 def _build_preset(tokens, spec, sys, theta) -> PiecewiseFunction:
@@ -233,7 +246,7 @@ def _build_preset(tokens, spec, sys, theta) -> PiecewiseFunction:
         b = _arg(name, args, 1, float, 1.0)
         return PiecewiseFunction.from_callable(sys, lambda x: a + b * x, N=8)
     if name == "cheb-sqrt":
-        k = _arg(name, args, 0, int, 0)
+        k = _arg(name, args, 0, int, 0, low=0)
         amp = _arg(name, args, 1, float, 1.0)
         coeffs = []
         for _ in range(sys.n):
@@ -243,12 +256,12 @@ def _build_preset(tokens, spec, sys, theta) -> PiecewiseFunction:
         return PiecewiseFunction(sys, coeffs, weighted=True, field="real")
     if name == "gaussian-bump":
         center = _arg(name, args, 0, float, float(np.mean(sys.mid)))
-        width = _arg(name, args, 1, float, 0.5)
+        width = _arg(name, args, 1, float, 0.5, above=0.0)
         amp = _arg(name, args, 2, float, 1.0)
         return PiecewiseFunction.from_callable(
             sys, lambda x: amp * np.exp(-(((x - center) / width) ** 2)), N=N)
     if name == "random-sqrt":
-        modes = _arg(name, args, 0, int, 16)
+        modes = _arg(name, args, 0, int, 16, low=1)
         amp = _arg(name, args, 1, float, 1.0)
         f = random_sqrt_vanishing(sys, modes=modes, seed=spec.param("seed"))
         return f * amp
@@ -396,6 +409,10 @@ def _kappa_list(psi):
 def _cmd_invert(spec, sys, theta):
     psi = build_rhs(spec, sys, theta)
     tol = spec.param("tol")
+    # Gamma first: its complex LU is the op's largest transient, and built
+    # first it runs beside Gamma's own K only, not the direct solve's as well
+    gam = (build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
+           if theta.classification == SPD else None)
     res = solve_phi(theta, psi, size=spec.param("nystrom"),
                     nmodes=spec.param("modes"))
     diag = {
@@ -410,8 +427,7 @@ def _cmd_invert(spec, sys, theta):
     }
     diag["resolution"] = {"phi_modes": [a.size for a in res.phi.coeffs]}
     tables = {"phi": _table(res.phi), "nu": _table(res.nu)}
-    if theta.classification == SPD:
-        gam = build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
+    if gam is not None:
         phi_r = invert_via_resolvent(res.nu, gam)
         x = np.concatenate([sys.from_unit(j, np.linspace(-0.95, 0.95, 24))
                             for j in range(sys.n)])

@@ -183,25 +183,35 @@ def _stacked_g(sys: IntervalSystem, theta, grid: QuadratureGrid):
 class NystromSystem:
     """Dense collocation of Id - K/lambda on per-interval Gauss grids.
 
-    The unknowns are smooth parts: phi = w_j * p on I_j, and the matrix acts
-    on the stacked node values of p.  ``kernel`` is the K-part alone (zero
-    diagonal blocks), ``matrix`` = Id - kernel/lambda.  ``g_nodes`` holds g
-    at the stacked nodes, so block (j, k) of ``kernel`` is
-    g_j(x) sw(x) / (pi (x - z)).
+    The unknowns are smooth parts: phi = w_j * p on I_j, and the operator
+    acts on the stacked node values of p.  ``kernel`` is the K-part alone
+    (zero diagonal blocks) and the only N x N array held; ``apply`` gives
+    (Id - K/lambda) x from it, and ``matrix`` builds Id - K/lambda on each
+    access.  ``g_nodes`` holds g at the stacked nodes, so block (j, k) of
+    ``kernel`` is g_j(x) sw(x) / (pi (x - z)).
     """
 
     sys: IntervalSystem
     theta: ThetaMatrix
     grid: QuadratureGrid
     lam: complex
-    matrix: np.ndarray = field(repr=False)
     kernel: np.ndarray = field(repr=False)
     offsets: np.ndarray
     g_nodes: np.ndarray = field(repr=False)
 
     @property
     def size(self):
-        return self.matrix.shape[0]
+        return self.kernel.shape[0]
+
+    @property
+    def matrix(self):
+        """Id - K/lambda as a fresh array, for tests and diagnostics."""
+        lam = _operator_lam(self.lam)
+        return _identity_minus(self.kernel, lam, np.result_type(self.kernel, lam))
+
+    def apply(self, x):
+        """(Id - K/lambda) x for a vector or a block of columns x."""
+        return x - _real_matmul(self.kernel, x) / _operator_lam(self.lam)
 
     def stack(self, per_interval_values):
         return np.concatenate([np.asarray(v) for v in per_interval_values])
@@ -231,6 +241,30 @@ class NystromSystem:
         return acc
 
 
+def _operator_lam(lam):
+    """lambda as the operator divides by it: real unless its imaginary part
+    is nonzero, so a real K keeps a real Id - K/lambda."""
+    if np.iscomplexobj(np.asarray(lam)) and np.imag(lam) != 0:
+        return lam
+    return float(np.real(lam))
+
+
+def _identity_minus(kernel, lam, dtype):
+    """Id - kernel/lam in a fresh C-ordered array of the given dtype.
+
+    A real quotient cast to complex is written into the real part of the
+    complex array, so it equals the cast of the real array bit for bit.
+    """
+    out = np.empty(kernel.shape, dtype=dtype)
+    if np.iscomplexobj(out) and not np.iscomplexobj(np.asarray(lam)):
+        np.divide(kernel, -lam, out=out.real)
+        out.imag = 0.0
+    else:
+        np.divide(kernel, -lam, out=out)
+    out.flat[:: kernel.shape[0] + 1] += 1.0
+    return out
+
+
 def _real_matmul(a, b):
     """a @ b for a matrix a and a vector or block b; a real a stays real.
 
@@ -245,10 +279,10 @@ def _real_matmul(a, b):
 
 
 def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
-    """Build the dense (Id - K/lambda) collocation matrix.
+    """Build the dense collocation of K for Id - K/lambda.
 
-    Zero diagonal blocks and real entries for real lambda are structural;
-    both are asserted by the unit tests rather than here.
+    Zero diagonal blocks and real entries are structural; both are asserted
+    by the unit tests rather than here.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -274,29 +308,24 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
             np.subtract(grid.nodes[k][None, :], zj[:, None], out=block)
             np.divide(gsw[j, cols], block, out=block)
 
-    complex_lam = np.iscomplexobj(np.asarray(lam)) and np.imag(lam) != 0
-    matrix = np.divide(kern, -(lam if complex_lam else np.real(lam)))  # -K/lambda
-    matrix.flat[:: total + 1] += 1.0
     return NystromSystem(sys=sys, theta=theta, grid=grid, lam=lam,
-                         matrix=matrix, kernel=kern, offsets=offsets,
-                         g_nodes=g_nodes)
+                         kernel=kern, offsets=offsets, g_nodes=g_nodes)
 
 
-def _solve_refined(A, b):
-    """A x = b by LU with one step of iterative refinement; A is not modified.
+def _solve_refined(ns: NystromSystem, b):
+    """(Id - K/lambda) x = b by LU with one step of iterative refinement.
 
-    The LU is of A^T, which for a C-ordered A is the Fortran-ordered array
-    LAPACK works on, so it is copied without a transpose; ``trans=1`` then
-    solves with A.  A real A meets a complex b as a complex LU of its cast,
-    factored in place, with the refinement residual from real products on
-    A itself.
+    Id - K/lambda is built in a fresh buffer, complex when b or lambda is,
+    and LAPACK factors its transpose in place: for the C-ordered buffer
+    that is the Fortran-ordered array LAPACK works on, so nothing more is
+    copied, and ``trans=1`` then solves with the matrix itself.  The
+    refinement residual comes from K, which the factorization leaves alone.
     """
-    if np.iscomplexobj(b) and not np.iscomplexobj(A):
-        lu = scipy.linalg.lu_factor(A.T.astype(complex), overwrite_a=True)
-    else:
-        lu = scipy.linalg.lu_factor(A.T)
+    lam = _operator_lam(ns.lam)
+    A = _identity_minus(ns.kernel, lam, np.result_type(ns.kernel, lam, b))
+    lu = scipy.linalg.lu_factor(A.T, overwrite_a=True)
     x = scipy.linalg.lu_solve(lu, b, trans=1)
-    x = x + scipy.linalg.lu_solve(lu, b - _real_matmul(A, x), trans=1)
+    x = x + scipy.linalg.lu_solve(lu, b - ns.apply(x), trans=1)
     return x
 
 
@@ -308,7 +337,7 @@ SIGMA_FLOOR = 1e-10
 
 
 def extreme_singular_values(ns: NystromSystem):
-    """(sigma_min, sigma_max, err) of ``ns.matrix`` = Id - K/lambda.
+    """(sigma_min, sigma_max, err) of Id - K/lambda.
 
     K has zero diagonal blocks and smooth off-diagonal blocks, so it has
     low numerical rank.  A randomized range finder (Halko-Martinsson-Tropp,
@@ -329,7 +358,7 @@ def extreme_singular_values(ns: NystromSystem):
     """
     A = ns.kernel  # real; K = A / lam
     N = A.shape[0]
-    lam = ns.lam if np.iscomplexobj(ns.matrix) else float(np.real(ns.lam))
+    lam = _operator_lam(ns.lam)
     target = SKETCH_TOL * max(abs(lam), np.linalg.norm(A))
     rng = np.random.default_rng(0)
     Q = np.empty((N, 0))
@@ -406,11 +435,11 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
         raise NearSingularError(
             f"Id - K numerically singular: sigma_min = {sigma_min:.3e}")
     if real_data:
-        sol = _solve_refined(ns.matrix, rhs)
-    else:  # as real and imaginary columns, so the real matrix gets a real LU
-        sol = _solve_refined(ns.matrix, np.column_stack([rhs.real, rhs.imag]))
+        sol = _solve_refined(ns, rhs)
+    else:  # as real and imaginary columns, so the real operator gets a real LU
+        sol = _solve_refined(ns, np.column_stack([rhs.real, rhs.imag]))
         sol = sol[:, 0] + 1j * sol[:, 1]
-    residual = float(np.max(np.abs(ns.matrix @ sol - rhs)) / (1.0 + np.max(np.abs(rhs))))
+    residual = float(np.max(np.abs(ns.apply(sol) - rhs)) / (1.0 + np.max(np.abs(rhs))))
 
     warn = None
     if theta.classification not in (SPD, UNIFORM) and np.any(theta.off):

@@ -407,16 +407,18 @@ def _demix_to_function(sd, spec, grid, weighted, source):
     sys = sd.sys
     nmodes = max(c.shape[0] for c in source.coeffs) + EXTRA_MODES
     s = cheb.cheb2_nodes(nmodes) if weighted else cheb.cheb1_nodes(nmodes)
-    values = []
-    for k in range(sys.n):
-        x = sys.from_unit(k, s)
-        hvals = inverse_ft_at(grid, spec, 0.5 * sd.phi(x))      # (n, len)
-        ch = np.sum(sd.mixing_column(x) * hvals, axis=0)       # (M^T h)_k
-        fv = sd.sgn_odd[k] * np.sqrt(np.abs(sd.phi_prime(x)) / 2.0) * ch
-        if weighted:
-            fv = fv / sys.weight(k, x)
-        values.append(np.real(fv) if source.field == "real" else fv)
-    return PiecewiseFunction.from_smooth_values(sd.sys, values, weighted=weighted)
+    # every interval's nodes in one stack, so each map is evaluated once
+    xs = [sys.from_unit(k, s) for k in range(sys.n)]
+    x = np.concatenate(xs)
+    hvals = inverse_ft_at(grid, spec, 0.5 * sd.phi(x))          # (n, n len)
+    ch = np.sum(sd.mixing_column(x) * hvals, axis=0)           # (M^T h)_k on I_k
+    fv = np.repeat(sd.sgn_odd, s.size) * np.sqrt(np.abs(sd.phi_prime(x)) / 2.0) * ch
+    if weighted:
+        fv = fv / np.concatenate([sys.weight(k, xk) for k, xk in enumerate(xs)])
+    if source.field == "real":
+        fv = np.real(fv)
+    return PiecewiseFunction.from_smooth_values(sd.sys, np.split(fv, sys.n),
+                                                weighted=weighted)
 
 
 def uniform_forward(sd: SpectralData, f: PiecewiseFunction, grid: TGrid = None

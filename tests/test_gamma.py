@@ -25,6 +25,7 @@ from mifht.intervals import ABOVE, BELOW, unit_radical
 from mifht.problems import _nojump_residuals
 from mifht.solver import (
     ThetaMatrix,
+    _solve_refined,
     assemble_K,
     compute_c,
     compute_nu,
@@ -483,6 +484,13 @@ def test_compute_F_leaves_the_nystrom_matrices_unchanged(sys3, theta3, lam):
     np.testing.assert_array_equal(ns.matrix, matrix)
     np.testing.assert_array_equal(ns.kernel, kernel)
     assert residual <= 1e-13 * np.max(np.abs(smooth))
+    # the LU works in place on its own buffer, for a real and a complex
+    # right-hand side alike, and solves with the operator itself
+    b = np.random.default_rng(3).standard_normal((ns.size, 2))
+    for rhs in (b, b[:, 0] + 1j * b[:, 1]):
+        x = _solve_refined(ns, rhs)
+        np.testing.assert_array_equal(ns.kernel, kernel)
+        np.testing.assert_allclose(matrix @ x, rhs, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3])

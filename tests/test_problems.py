@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -270,6 +271,21 @@ def test_spd_invert_with_resolvent_targets_on_nodes(case):
     assert bundle.diagnostics["two_path_discrepancy"]["value"] <= 1e-10
 
 
+def test_spd_invert_peak_memory_stays_under_36_n_squared_bytes():
+    # the operator stores K only, and Gamma's complex LU (16 N^2 bytes) runs
+    # before the direct solve, beside one K (8 N^2) instead of two systems
+    spec = parse_problem(N3_SPD.replace("nystrom = 48", "nystrom = 128"))
+    run_command(spec)  # warm the quadrature caches
+    tracemalloc.start()
+    try:
+        run_command(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = 3 * 128
+    assert peak <= 36 * N ** 2
+
+
 def test_resolution_diagnostics_report_the_chopped_series():
     bundle = run_command(parse_problem(N3_SPD.replace("nystrom = 48", "nystrom = 256")))
     res = json.loads(bundle.to_json())["diagnostics"]["resolution"]
@@ -523,10 +539,21 @@ MALFORMED = {
     "theta-entry-not-a-number": (
         MINIMAL.replace("(-1,1)", "(-2,-1) (1,2)").replace(
             "identity", '[[1,"a"],[0.5,1]]'), ["invert"]),
+    "theta-entry-not-finite": (
+        MINIMAL.replace("(-1,1)", "(-2,-1) (1,2)").replace(
+            "identity", "[[1,1e999],[1e999,1]]"), ["invert"]),
     "samples-file-missing": (
         MINIMAL.replace("linear 0 1", "samples /nonexistent/psi.tsv"), ["invert"]),
     "preset-argument-not-an-integer": (
         MINIMAL.replace("linear 0 1", "cheb-sqrt x"), ["invert"]),
+    "random-sqrt-negative-modes": (
+        MINIMAL.replace("linear 0 1", "random-sqrt -3"), ["invert"]),
+    "random-sqrt-zero-modes": (
+        MINIMAL.replace("linear 0 1", "random-sqrt 0"), ["invert"]),
+    "cheb-sqrt-negative-degree": (
+        MINIMAL.replace("linear 0 1", "cheb-sqrt -1"), ["invert"]),
+    "gaussian-bump-zero-width": (
+        MINIMAL.replace("linear 0 1", "gaussian-bump 0 0"), ["invert"]),
     "dt-zero": (UNIFORM1 + "dt = 0\n", ["uniform-invert"]),
     "tmax-negative": (UNIFORM1, ["uniform-invert", "--tmax", "-1"]),
     "tmax-beyond-inverse-map-range": (UNIFORM1, ["uniform-invert", "--tmax", "256"]),

@@ -158,6 +158,15 @@ def test_assemble_large_lambda_is_identity(sys2, theta2):
     np.testing.assert_allclose(ns.matrix, np.eye(ns.size), atol=1e-11)
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.7 + 0.4j])
+def test_assembled_system_holds_one_n_by_n_array(sys3, theta3, lam):
+    ns = assemble_K(sys3, theta3, size=20, lam=lam)
+    square = [name for name, value in vars(ns).items()
+              if isinstance(value, np.ndarray) and value.shape == (ns.size, ns.size)]
+    assert square == ["kernel"]
+    assert ns.kernel.dtype == np.float64
+
+
 @pytest.mark.parametrize("lam", [1.0, -2.0, 0.7 + 0.4j])
 def test_assembled_matrix_is_identity_minus_kernel_over_lambda(sys3, theta3, lam):
     ns = assemble_K(sys3, theta3, size=20, lam=lam)

@@ -16,10 +16,13 @@ from mifht import (
 from mifht.errors import NonPositiveEigenvalueError
 from mifht.solver import random_sqrt_vanishing
 from mifht.uniform import (
+    EXTRA_MODES,
     NEWTON_MAX_ITER,
     TABLE_LIMIT,
     ChannelVector,
     TGrid,
+    _demix_to_function,
+    _mixed_spectrum,
     apply_T,
     apply_T_inverse,
     build_M,
@@ -33,7 +36,14 @@ from mifht.uniform import (
     uniform_invert_with_verdict,
     uniform_range_check,
 )
-from mifht.chebyshev import cheb1_nodes, cheb2_nodes, clenshaw_T, clenshaw_U
+from mifht.chebyshev import (
+    cheb1_nodes,
+    cheb2_nodes,
+    chebT_coeffs,
+    chebU_coeffs,
+    clenshaw_T,
+    clenshaw_U,
+)
 
 GRID = TGrid(npoints=4096, dt=1.0 / 64.0)
 
@@ -428,6 +438,25 @@ def test_uniform_round_trip_n2(sd2):
                         for j in range(2)])
     rel = np.max(np.abs(back(x) - f(x))) / np.max(np.abs(f(x)))
     assert rel <= 1e-4
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_demix_on_stacked_nodes_matches_per_interval_reference(sd3, weighted):
+    # the reference evaluates every map once per interval, on that
+    # interval's nodes alone
+    f = random_sqrt_vanishing(sd3.sys, modes=12, seed=41)
+    spec, _ = _mixed_spectrum(sd3, f, GRID)
+    out = _demix_to_function(sd3, spec, GRID, weighted=weighted, source=f)
+    s = (cheb2_nodes if weighted else cheb1_nodes)(12 + EXTRA_MODES)
+    for k in range(3):
+        x = sd3.sys.from_unit(k, s)
+        h = inverse_ft_at(GRID, spec, 0.5 * sd3.phi(x))
+        fv = sd3.sgn_odd[k] * np.sqrt(np.abs(sd3.phi_prime(x)) / 2.0) * np.sum(
+            sd3.mixing_column(x) * h, axis=0)
+        if weighted:
+            fv = fv / sd3.sys.weight(k, x)
+        ref = (chebU_coeffs if weighted else chebT_coeffs)(np.real(fv))
+        assert np.max(np.abs(out.coeffs[k] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_uniform_invert_zero(sd2):
