@@ -31,7 +31,7 @@ for radius in (1e3, 1e4, 1e5):
 # no-jump combinations: Gamma f and g^t Gamma^{-1} are continuous across I
 x = float(pts[7])
 gp, gm = gamma.eval(x, side=+1), gamma.eval(x, side=-1)
-fv, gv = gamma.kernel.f_vector(x), gamma.kernel.g_vector(x)
+fv, gv = gamma.f_vector(x), gamma.g_vector(x)
 print(f"\n|Gamma_+ f - Gamma_- f|           = {np.max(np.abs((gp - gm) @ fv)):.2e}")
 print(f"|g^t Gamma_+^-1 - g^t Gamma_-^-1| = "
       f"{np.max(np.abs(gv @ (np.linalg.inv(gp) - np.linalg.inv(gm)))):.2e}")

@@ -56,9 +56,7 @@ from .solver import (
 )
 from .gamma import (
     GammaSolution,
-    IntegrableKernelData,
     build_gamma,
-    build_kernel_vectors,
     compute_F,
     invert_via_resolvent,
     range_check_L1_variant,

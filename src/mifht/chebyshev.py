@@ -399,8 +399,8 @@ class PiecewiseFunction:
         return cls(system, [np.zeros(N) for _ in range(system.n)], weighted=weighted)
 
     @classmethod
-    def from_samples(cls, system, nodes, values, N=DEFAULT_MODES, weighted=False):
-        """Project scattered per-interval samples by least squares onto N modes.
+    def from_samples(cls, system, nodes, values, N=DEFAULT_MODES):
+        """Project scattered per-interval samples by least squares onto N T-modes.
 
         The fitted mode count is capped at half the sample count: unlike
         interpolation, the oversampled fit stays stable on equispaced nodes.
@@ -411,14 +411,10 @@ class PiecewiseFunction:
             v = np.asarray(values[j])
             s = system.to_unit(j, x)
             m = min(N, max(4, x.size // 2))
-            if weighted:
-                design = np.stack([clenshaw_U(np.eye(m)[k], s) for k in range(m)], axis=1)
-                v = v / system.weight(j, x)
-            else:
-                design = np.stack([clenshaw_T(np.eye(m)[k], s) for k in range(m)], axis=1)
+            design = np.stack([clenshaw_T(np.eye(m)[k], s) for k in range(m)], axis=1)
             c, *_ = np.linalg.lstsq(design, v, rcond=None)
             coeffs.append(c)
-        return cls(system, coeffs, weighted=weighted)
+        return cls(system, coeffs)
 
     # -- evaluation ---------------------------------------------------------
 

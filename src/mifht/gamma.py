@@ -33,7 +33,6 @@ from .chebyshev import PiecewiseFunction
 from .errors import (
     CoincidenceError,
     EndpointError,
-    NearSingularError,
     SymmetryError,
 )
 from .intervals import ABOVE, BELOW, IntervalSystem, unit_radical
@@ -41,11 +40,10 @@ from .solver import (
     NystromSystem,
     as_theta,
     assemble_K,
-    extreme_singular_values,
     kernel_g,
+    _checked_solve,
     _range2_moments,
     _real_matmul,
-    _solve_refined,
     _stacked_g,
 )
 
@@ -53,29 +51,57 @@ from .solver import (
 GAMMA_MAX_MODES = 128
 
 
-class IntegrableKernelData:
-    """The vector pair (f, g) of the integrable kernel, with evaluators.
+def compute_F(nystrom: NystromSystem):
+    """Solve (Id - K/lambda) F = f column-wise at the collocation nodes.
 
-    Note the -2 normalization of f against the 2/(2 pi i) of the kernel:
-    f^t(z) g(x) / (2 pi i (z - x)) reproduces K(z, x) entrywise, which
-    fixes the sign of f; audit against the kernel matrix, not the jump.
+    Returns (smooth, residual): ``smooth[j]`` holds the smooth part
+    F_j / w_l on every node of every interval l, and ``residual`` the
+    linear-system defect.
+    """
+    ns = nystrom
+    rhs = np.zeros((ns.size, ns.sys.n), dtype=complex)
+    for j in range(ns.sys.n):
+        rhs[ns.offsets[j]: ns.offsets[j + 1], j] = -2j
+    smooth, _, residual = _checked_solve(ns, rhs)
+    return smooth.T, residual
+
+
+class GammaSolution:
+    """Evaluator for Gamma(z; lambda), its boundary values and inverse.
+
+    Stores, per interval l, the U-series of the smooth parts of the
+    densities (F g^t)_{jm} = i w_l d_{jm}; the Cauchy integral of each
+    density is then a geometric series in the exterior coordinate of I_l,
+    valid on and off the cut (with a side selector on the cut).  Each
+    series is sampled on ``sampled_modes`` nodes and kept to the standard
+    chop of its n x n envelope, so every sum runs over the resolved modes.
     """
 
-    def __init__(self, sys: IntervalSystem, theta):
-        theta = as_theta(theta)
-        theta.require_invertible_diagonal()
-        if theta.n != sys.n:
-            raise ValueError("theta size does not match the interval system")
-        self.sys = sys
-        self.theta = theta
+    def __init__(self, nystrom: NystromSystem):
+        ns = nystrom
+        self.sys = ns.sys
+        self.theta = ns.theta
+        self.lam = ns.lam
+        self.nystrom = ns
+        n = self.sys.n
+        nmodes = self.sampled_modes = min(GAMMA_MAX_MODES, max(ns.grid.sizes))
 
-    def f_component(self, j, x):
-        """f_j(x) = -2 R_{j+}(x) = -2 i w_j(x) for x in I_j."""
-        return -2j * self.sys.weight(j, x)
+        smooth, self.f_residual = compute_F(ns)
+        self.F_smooth_nodes = smooth
 
-    def g_matrix(self, k, x):
-        """All components of g at points x inside I_k; shape (n, len(x))."""
-        return kernel_g(self.sys, self.theta, k, x)
+        # interpolate the smooth parts of F off the collocation grid and
+        # assemble density coefficients D[l][j, m, :] with mu_jm = w_l * (i d)
+        self.density = []
+        for l in range(n):
+            z = self.sys.from_unit(l, cheb.cheb2_nodes(nmodes))
+            sig = ns.kernel_apply_smooth(smooth.T, l, z).T / ns.lam  # (n, nmodes)
+            sig[l] -= 2j
+            gmat = kernel_g(self.sys, self.theta, l, z)  # (n, nmodes), row l zero
+            dmat = np.einsum("jq,mq->jmq", sig, gmat)
+            coeffs = cheb.chebU_coeffs(dmat.reshape(n * n, nmodes))
+            self.density.append(coeffs[:, : cheb.chop(coeffs)].reshape(n, n, -1))
+
+    # -- the kernel vectors f and g --------------------------------------------
 
     def _per_interval(self, x, piece, dtype, name):
         """Rows piece(k, x_k) of shape (n, P_k) placed at the points of each I_k.
@@ -95,89 +121,22 @@ class IntegrableKernelData:
         return out if np.ndim(x) else out[0]
 
     def f_vector(self, x):
-        """f(x) for real x inside the system; shape (n,) or (len(x), n)."""
+        """f(x) for real x inside the system; shape (n,) or (len(x), n).
+
+        f_k = -2 R_{k+} = -2 i w_k on I_k.  The -2 against the 2/(2 pi i) of
+        the kernel makes f^t(z) g(x) / (2 pi i (z - x)) reproduce K(z, x)
+        entrywise, which fixes the sign of f; audit against the kernel
+        matrix, not the jump.
+        """
         eye = np.eye(self.sys.n)
         return self._per_interval(
-            x, lambda k, xk: np.outer(eye[k], self.f_component(k, xk)), complex, "f")
+            x, lambda k, xk: np.outer(eye[k], -2j * self.sys.weight(k, xk)),
+            complex, "f")
 
     def g_vector(self, x):
         """g(x) for real x inside the system; shape (n,) or (len(x), n)."""
-        return self._per_interval(x, self.g_matrix, float, "g")
-
-    def orthogonality_residual(self, points):
-        """max |f^t(x) g(x)| over the points (structurally zero)."""
-        fg = np.sum(self.f_vector(points) * self.g_vector(points), axis=-1)
-        return float(np.max(np.abs(fg), initial=0.0))
-
-
-def build_kernel_vectors(sys: IntervalSystem, theta) -> IntegrableKernelData:
-    kd = IntegrableKernelData(sys, theta)
-    probe = np.concatenate([sys.from_unit(j, np.linspace(-0.9, 0.9, 5))
-                            for j in range(sys.n)])
-    res = kd.orthogonality_residual(probe)
-    if res > 1e-12:
-        raise AssertionError(f"f^t g should vanish on I, got {res:.3e}")
-    return kd
-
-
-def compute_F(nystrom: NystromSystem, kernel: IntegrableKernelData):
-    """Solve (Id - K/lambda) F = f column-wise at the collocation nodes.
-
-    Returns (smooth, values, residual): ``smooth[j]`` holds the smooth part
-    F_j / w_l on every node of every interval l, ``values[j]`` the samples
-    of F_j itself, and ``residual`` the linear-system defect.
-    """
-    ns = nystrom
-    n, total = ns.sys.n, ns.size
-    rhs = np.zeros((total, n), dtype=complex)
-    for j in range(n):
-        rhs[ns.offsets[j]: ns.offsets[j + 1], j] = -2j
-    sigma_min, sigma_max, _ = extreme_singular_values(ns)
-    if sigma_min < 1e-12 * sigma_max:
-        raise NearSingularError(
-            f"Id - K/lambda numerically singular: sigma_min = {sigma_min:.3e}")
-    smooth = _solve_refined(ns, rhs).T  # (n, total)
-    residual = float(np.max(np.abs(ns.apply(smooth.T) - rhs)))
-    wts = np.concatenate([ns.sys.weight(l, ns.grid.nodes[l]) for l in range(n)])
-    values = smooth * wts[None, :]
-    return smooth, values, residual
-
-
-class GammaSolution:
-    """Evaluator for Gamma(z; lambda), its boundary values and inverse.
-
-    Stores, per interval l, the U-series of the smooth parts of the
-    densities (F g^t)_{jm} = i w_l d_{jm}; the Cauchy integral of each
-    density is then a geometric series in the exterior coordinate of I_l,
-    valid on and off the cut (with a side selector on the cut).  Each
-    series is sampled on ``sampled_modes`` nodes and kept to the standard
-    chop of its n x n envelope, so every sum runs over the resolved modes.
-    """
-
-    def __init__(self, nystrom: NystromSystem, kernel: IntegrableKernelData):
-        ns = nystrom
-        self.sys = ns.sys
-        self.theta = ns.theta
-        self.lam = ns.lam
-        self.kernel = kernel
-        self.nystrom = ns
-        n = self.sys.n
-        nmodes = self.sampled_modes = min(GAMMA_MAX_MODES, max(ns.grid.sizes))
-
-        smooth, values, self.f_residual = compute_F(ns, kernel)
-        self.F_smooth_nodes = smooth
-
-        # interpolate the smooth parts of F off the collocation grid and
-        # assemble density coefficients D[l][j, m, :] with mu_jm = w_l * (i d)
-        self.density = []
-        for l in range(n):
-            z = self.sys.from_unit(l, cheb.cheb2_nodes(nmodes))
-            sig = ns.kernel_apply_smooth(smooth.T, l, z).T / ns.lam  # (n, nmodes)
-            sig[l] -= 2j
-            gmat = kernel.g_matrix(l, z)  # (n, nmodes), row l zero
-            dmat = np.einsum("jq,mq->jmq", sig, gmat)
-            coeffs = cheb.chebU_coeffs(dmat.reshape(n * n, nmodes))
-            self.density.append(coeffs[:, : cheb.chop(coeffs)].reshape(n, n, -1))
+        return self._per_interval(
+            x, lambda k, xk: kernel_g(self.sys, self.theta, k, xk), float, "g")
 
     def density_resolution(self):
         """Kept modes per interval, and whether each series found no plateau.
@@ -253,7 +212,7 @@ class GammaSolution:
         Shape (len(x), n).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._on_cut(x, self.kernel.g_matrix(k, x))[2]
+        return self._on_cut(x, kernel_g(self.sys, self.theta, k, x))[2]
 
     def gtinv_derivative(self, k, x):
         """A'(x) for A = g^t Gamma^{-1} and x in I_k; shape (len(x), n).
@@ -263,7 +222,7 @@ class GammaSolution:
         differentiated exterior series.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = self.kernel.g_matrix(k, x)
+        g = kernel_g(self.sys, self.theta, k, x)
         _, ginv, A = self._on_cut(x, g)
         return self._slope(x, g, ginv, A)
 
@@ -312,8 +271,8 @@ class GammaSolution:
 
         Shape (n, n) for scalar x, else (len(x), n, n).
         """
-        f = self.kernel.f_vector(x)
-        g = self.kernel.g_vector(x)
+        f = self.f_vector(x)
+        g = self.g_vector(x)
         return np.eye(self.sys.n) - f[..., :, None] * g[..., None, :] / self.lam
 
     def jump_residual(self, points):
@@ -330,7 +289,7 @@ class GammaSolution:
 
         Shape (n,) for scalar z, else (len(z), n).
         """
-        f = self.kernel.f_vector(z)
+        f = self.f_vector(z)
         gz = self.eval(z, side=side if side is not None else ABOVE)
         return np.einsum("...ab,...b->...a", gz, f)
 
@@ -380,7 +339,7 @@ class GammaSolution:
         sw = np.concatenate(ns.grid.sqrt_weights)
         wt = np.concatenate([self.sys.weight(l, x) for l, x in enumerate(xs)])
         gam, _, A = self._at_nodes
-        GF = np.einsum("qab,qb->qa", gam, self.kernel.f_vector(nodes))
+        GF = np.einsum("qab,qb->qa", gam, self.f_vector(nodes))
         scale = 2j * np.pi * self.lam
         dz = nodes[:, None] - nodes[None, :]
         np.fill_diagonal(dz, 1.0)
@@ -414,7 +373,7 @@ class GammaSolution:
         cols = np.column_stack([weights[:, None] * Ax, weights])  # [wA, w]
         z = np.concatenate([sys.from_unit(m, cheb.cheb2_nodes(nmodes))
                             for m in range(n)])
-        gz, _, Az = self._on_cut(z, self.kernel.g_vector(z).T)
+        gz, _, Az = self._on_cut(z, self.g_vector(z).T)
         owner = np.repeat(np.arange(n), nmodes)
         col = gz[np.arange(z.size), :, owner]  # Gamma_m(z) on I_m, (P, n)
         Acol = np.sum(Az * col, axis=1)
@@ -447,10 +406,7 @@ class GammaSolution:
 
 def build_gamma(sys: IntervalSystem, theta, lam=1.0, size=96) -> GammaSolution:
     """Assemble the Nystrom system and construct Gamma(z; lambda)."""
-    theta = as_theta(theta)
-    ns = assemble_K(sys, theta, size=size, lam=lam)
-    kd = build_kernel_vectors(sys, theta)
-    return GammaSolution(ns, kd)
+    return GammaSolution(assemble_K(sys, theta, size=size, lam=lam))
 
 
 def invert_via_resolvent(nu: PiecewiseFunction, gamma: GammaSolution):

@@ -494,7 +494,7 @@ def _cmd_gamma_check(spec, sys, theta):
 def _nojump_residuals(gam, pts):
     """max |(Gamma_+ - Gamma_-) f| and max |g^t (Gamma_+^{-1} - Gamma_-^{-1})|."""
     gp, gm = gam.eval(pts, side=+1), gam.eval(pts, side=-1)
-    fv, gv = gam.kernel.f_vector(pts), gam.kernel.g_vector(pts)
+    fv, gv = gam.f_vector(pts), gam.g_vector(pts)
     df = np.einsum("pab,pb->pa", gp - gm, fv)
     dg = np.einsum("pa,pab->pb", gv, np.linalg.inv(gp) - np.linalg.inv(gm))
     return (float(np.max(np.abs(df), initial=0.0)),

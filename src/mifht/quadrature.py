@@ -134,7 +134,7 @@ def pv_oracle(f, interval, z, tol=1e-10):
     return t[-1] / np.pi
 
 
-def ordinary_cauchy(f, interval, z, order=96):
+def ordinary_cauchy(f, interval, z):
     """(1/pi) int f(t)/(t - z) dt for z off the (closed) interval."""
     a, b = float(interval[0]), float(interval[1])
     opts = dict(limit=400, epsabs=1e-13, epsrel=1e-12)

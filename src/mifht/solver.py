@@ -29,6 +29,7 @@ from .chebyshev import PiecewiseFunction
 from .errors import (
     DegenerateDiagonalError,
     NearSingularError,
+    NonFiniteError,
     RangeError,
     ZeroLambdaError,
 )
@@ -50,6 +51,8 @@ class ThetaMatrix:
         t = np.asarray(entries, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("theta must be a square matrix")
+        if not np.all(np.isfinite(t)):
+            raise NonFiniteError("theta entries must be finite")
         self.entries = t
         self.n = t.shape[0]
         self.diag = np.diag(np.diag(t))
@@ -286,6 +289,8 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
+    if theta.n != sys.n:
+        raise ValueError("theta size does not match the interval system")
     if lam == 0:
         raise ZeroLambdaError("lambda must be nonzero")
     grid = chebyshev2_grid(sys, size)
@@ -332,7 +337,7 @@ def _solve_refined(ns: NystromSystem, b):
 # relative Frobenius accuracy of the low-rank sketch of K, and its block size
 SKETCH_TOL = 1e-14
 SKETCH_BLOCK = 32
-# sigma_min / sigma_max below which solve_phi calls Id - K singular
+# sigma_min / sigma_max below which Id - K/lambda counts as singular
 SIGMA_FLOOR = 1e-10
 
 
@@ -393,6 +398,20 @@ def extreme_singular_values(ns: NystromSystem):
     return float(svals[-1]), float(svals[0]), float(err / abs(lam))
 
 
+def _checked_solve(ns: NystromSystem, b):
+    """(x, sigma_min, residual) for (Id - K/lambda) x = b.
+
+    Raises NearSingularError when sigma_min / sigma_max of the sketch falls
+    below SIGMA_FLOOR; ``residual`` is max |(Id - K/lambda) x - b|.
+    """
+    sigma_min, sigma_max, _ = extreme_singular_values(ns)
+    if sigma_min < SIGMA_FLOOR * sigma_max:
+        raise NearSingularError(
+            f"Id - K/lambda numerically singular: sigma_min = {sigma_min:.3e}")
+    x = _solve_refined(ns, b)
+    return x, sigma_min, float(np.max(np.abs(ns.apply(x) - b)))
+
+
 # ---------------------------------------------------------------------------
 # the direct solver
 
@@ -429,17 +448,12 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     real_data = psi.field == "real"
     if real_data:
         rhs = rhs.real
-
-    sigma_min, sigma_max, _ = extreme_singular_values(ns)
-    if sigma_min < SIGMA_FLOOR * sigma_max:
-        raise NearSingularError(
-            f"Id - K numerically singular: sigma_min = {sigma_min:.3e}")
-    if real_data:
-        sol = _solve_refined(ns, rhs)
+        sol, sigma_min, residual = _checked_solve(ns, rhs)
     else:  # as real and imaginary columns, so the real operator gets a real LU
-        sol = _solve_refined(ns, np.column_stack([rhs.real, rhs.imag]))
+        sol, sigma_min, residual = _checked_solve(
+            ns, np.column_stack([rhs.real, rhs.imag]))
         sol = sol[:, 0] + 1j * sol[:, 1]
-    residual = float(np.max(np.abs(ns.apply(sol) - rhs)) / (1.0 + np.max(np.abs(rhs))))
+    residual /= 1.0 + float(np.max(np.abs(rhs)))
 
     warn = None
     if theta.classification not in (SPD, UNIFORM) and np.any(theta.off):
@@ -595,11 +609,11 @@ def bilinear_form_J_many(theta, fs):
     return _j_form(theta, fs, fs)
 
 
-def random_sqrt_vanishing(sys: IntervalSystem, modes=24, seed=0, decay=0.7,
+def random_sqrt_vanishing(sys: IntervalSystem, modes=24, seed=0,
                           rng=None) -> PiecewiseFunction:
-    """Random real sqrt-vanishing function with geometrically decaying modes."""
+    """Random real sqrt-vanishing function whose modes decay like 0.7^k."""
     rng = np.random.default_rng(seed) if rng is None else rng
-    coeffs = [rng.standard_normal(modes) * decay ** np.arange(modes)
+    coeffs = [rng.standard_normal(modes) * 0.7 ** np.arange(modes)
               for _ in range(sys.n)]
     return PiecewiseFunction(sys, coeffs, weighted=True, field="real")
 

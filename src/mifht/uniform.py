@@ -139,8 +139,7 @@ class SpectralData:
             raise NonPositiveEigenvalueError(
                 f"Bezout matrix must be positive definite, eigenvalues {rho}")
         self.rho = rho
-        self.omega = vecs.T  # B = omega^T diag(rho) omega
-        self.eig_polys = self.omega  # row j: coefficients of P_j, ascending
+        self.omega = vecs.T  # B = omega^T diag(rho) omega; row j: P_j, ascending
         # sign of p_a on interval k: n-1-k factors are negative
         self.sgn_odd = np.array([(-1.0) ** (n - 1 - k) for k in range(n)])
         self._tables = {}
@@ -327,9 +326,9 @@ class ChannelVector:
     def norm(self):
         return float(np.sqrt(self.grid.dt * np.sum(np.abs(self.data) ** 2)))
 
-    def boundary_fraction(self, margin=0.9):
+    def boundary_fraction(self):
         t = self.grid.t
-        tail = np.abs(t) >= margin * self.grid.tmax
+        tail = np.abs(t) >= 0.9 * self.grid.tmax
         total = np.sum(np.abs(self.data) ** 2)
         if total == 0.0:
             return 0.0
@@ -362,8 +361,7 @@ def apply_T(sd: SpectralData, f: PiecewiseFunction, grid: TGrid = None
     return ChannelVector(grid=grid, data=data)
 
 
-def apply_T_inverse(sd: SpectralData, cv: ChannelVector, points=None,
-                    spectrum=None):
+def apply_T_inverse(sd: SpectralData, cv: ChannelVector, points=None):
     """f(x) = sgn(p_a(x)) sqrt(|phi'(x)|/2) * channel_k(phi(x)/2), x in I_k.
 
     On the grid itself this inverts apply_T exactly; off the grid the
@@ -377,7 +375,7 @@ def apply_T_inverse(sd: SpectralData, cv: ChannelVector, points=None,
             m = tab["maps"][k]
             out[k] = (sd.sgn_odd[k] * np.sqrt(m["absphip"] / 2.0) * cv.data[k])
         return out
-    spec = spectrum if spectrum is not None else forward_ft(cv.grid, cv.data)
+    spec = forward_ft(cv.grid, cv.data)
     x = np.atleast_1d(np.asarray(points, dtype=float))
     vals = np.zeros(x.shape, dtype=complex)
     for k in range(sys.n):

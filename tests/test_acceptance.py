@@ -187,8 +187,8 @@ def test_criterion_5_rhp_validation(spd_cases):
             x = float(x)
             gp = gam.eval(x, side=+1)
             gm = gam.eval(x, side=-1)
-            fv = gam.kernel.f_vector(x)
-            gv = gam.kernel.g_vector(x)
+            fv = gam.f_vector(x)
+            gv = gam.g_vector(x)
             worst_nj_f = max(worst_nj_f, float(np.max(np.abs((gp - gm) @ fv))))
             worst_nj_g = max(worst_nj_g, float(np.max(np.abs(
                 gv @ (np.linalg.inv(gp) - np.linalg.inv(gm))))))

@@ -5,6 +5,7 @@ from mifht import (
     CoincidenceError,
     DegenerateDiagonalError,
     EndpointError,
+    NearSingularError,
     PiecewiseFunction,
     SymmetryError,
     make_interval_system,
@@ -12,7 +13,6 @@ from mifht import (
 from mifht.gamma import (
     GammaSolution,
     build_gamma,
-    build_kernel_vectors,
     compute_F,
     invert_via_resolvent,
     range_check_L1_variant,
@@ -24,12 +24,15 @@ from mifht import chebyshev as cheb
 from mifht.intervals import ABOVE, BELOW, unit_radical
 from mifht.problems import _nojump_residuals
 from mifht.solver import (
+    SIGMA_FLOOR,
     ThetaMatrix,
     _solve_refined,
     assemble_K,
     compute_c,
     compute_nu,
+    extreme_singular_values,
     forward_map,
+    kernel_g,
     random_sqrt_vanishing,
     solve_phi,
 )
@@ -50,28 +53,26 @@ def rt2(sys2, theta2):
 # -- kernel vectors ------------------------------------------------------------
 
 
-def test_kernel_vectors_structure(sys2, theta2):
-    kd = build_kernel_vectors(sys2, theta2)
+def test_kernel_vectors_structure(gamma2, sys2):
     # g on I_1 has only the other component nonzero
-    x = np.array([sys2.from_unit(0, 0.3)])
-    g = kd.g_matrix(0, x)
-    assert g[0, 0] == 0.0 and g[1, 0] != 0.0
+    xx = float(sys2.from_unit(0, 0.3))
+    g = gamma2.g_vector(xx)
+    assert g[0] == 0.0 and g[1] != 0.0
     # f on I_1 is -2 R_{1+} in component 1
-    xx = float(x[0])
-    fv = kd.f_vector(xx)
+    fv = gamma2.f_vector(xx)
     assert fv[1] == 0.0
     assert fv[0] == pytest.approx(-2j * sys2.weight(0, xx))
 
 
-def test_kernel_orthogonality(sys2, theta2):
-    kd = build_kernel_vectors(sys2, theta2)
+def test_kernel_orthogonality(gamma2, sys2):
     pts = interior_points(sys2, 15)
-    assert kd.orthogonality_residual(pts) == 0.0
+    fg = np.sum(gamma2.f_vector(pts) * gamma2.g_vector(pts), axis=-1)
+    assert np.max(np.abs(fg)) == 0.0
 
 
 def test_kernel_degenerate_rejected(sys2):
     with pytest.raises(DegenerateDiagonalError):
-        build_kernel_vectors(sys2, ThetaMatrix([[0.0, 1.0], [1.0, 1.0]]))
+        build_gamma(sys2, ThetaMatrix([[0.0, 1.0], [1.0, 1.0]]), size=12)
 
 
 KERNEL_BLOCKS = [(n, j, k) for n in (2, 3) for j in range(n) for k in range(n) if j != k]
@@ -82,11 +83,10 @@ def test_kernel_matches_nystrom_kernel(request, n, j, k):
     # f^t(z) g(x) / (2 pi i (z - x)) = K(z, x): check every entry of the
     # assembled block (j, k), whose smooth-part entries are K(z, x) sw_x / w_j(z)
     sys = request.getfixturevalue(f"sys{n}")
-    theta = request.getfixturevalue(f"theta{n}")
-    kd = build_kernel_vectors(sys, theta)
-    ns = assemble_K(sys, theta, size=10)
+    ns = assemble_K(sys, request.getfixturevalue(f"theta{n}"), size=10)
+    gam = GammaSolution(ns)
     z, x = ns.grid.nodes[j], ns.grid.nodes[k]
-    kval = (kd.f_vector(z) @ kd.g_vector(x).T) / (2j * np.pi * np.subtract.outer(z, x))
+    kval = (gam.f_vector(z) @ gam.g_vector(x).T) / (2j * np.pi * np.subtract.outer(z, x))
     assert np.all(np.abs(kval.imag) <= 1e-15 * np.abs(kval))
     block = ns.kernel[ns.offsets[j]: ns.offsets[j + 1], ns.offsets[k]: ns.offsets[k + 1]]
     expect = kval.real * ns.grid.sqrt_weights[k][None, :] / sys.weight(j, z)[:, None]
@@ -96,25 +96,25 @@ def test_kernel_matches_nystrom_kernel(request, n, j, k):
 @pytest.mark.parametrize("n", [2, 3])
 def test_kernel_vectors_batched_match_pointwise(request, n):
     sys = request.getfixturevalue(f"sys{n}")
-    kd = build_kernel_vectors(sys, request.getfixturevalue(f"theta{n}"))
+    gam = build_gamma(sys, request.getfixturevalue(f"theta{n}"), size=12)
     pts = interior_points(sys, 9)
-    F, G = kd.f_vector(pts), kd.g_vector(pts)
+    F, G = gam.f_vector(pts), gam.g_vector(pts)
     assert F.shape == G.shape == (pts.size, n)
     for p, x in enumerate(pts):
         k = sys.locate(x)
         f = np.zeros(n, dtype=complex)
-        f[k] = kd.f_component(k, x)
-        g = kd.g_matrix(k, [x])[:, 0]
+        f[k] = -2j * sys.weight(k, x)
+        g = kernel_g(sys, gam.theta, k, [x])[:, 0]
         assert np.max(np.abs(F[p] - f)) <= 1e-14 * np.max(np.abs(f))
         assert np.max(np.abs(G[p] - g)) <= 1e-14 * np.max(np.abs(g))
-        np.testing.assert_array_equal(kd.f_vector(float(x)), F[p])
-        np.testing.assert_array_equal(kd.g_vector(float(x)), G[p])
+        np.testing.assert_array_equal(gam.f_vector(float(x)), F[p])
+        np.testing.assert_array_equal(gam.g_vector(float(x)), G[p])
     gap = 0.5 * (sys.beta[0] + sys.alpha[1])
     for bad in (np.array([pts[0], gap]), sys.alpha[0], np.array([sys.beta[-1]])):
         with pytest.raises(EndpointError):
-            kd.f_vector(bad)
+            gam.f_vector(bad)
         with pytest.raises(EndpointError):
-            kd.g_vector(bad)
+            gam.g_vector(bad)
 
 
 # -- F and the diagonal reduction ------------------------------------------------
@@ -123,8 +123,7 @@ def test_kernel_vectors_batched_match_pointwise(request, n):
 def test_F_diagonal_theta_equals_f(sys2):
     th = ThetaMatrix([[3.0, 0.0], [0.0, 2.0]])
     ns = assemble_K(sys2, th, size=12)
-    kd = build_kernel_vectors(sys2, th)
-    smooth, values, residual = compute_F(ns, kd)
+    smooth, residual = compute_F(ns)
     assert residual <= 1e-14
     for j in range(2):
         own = slice(ns.offsets[j], ns.offsets[j + 1])
@@ -134,9 +133,8 @@ def test_F_diagonal_theta_equals_f(sys2):
 
 
 def test_F_large_lambda_tends_to_f(sys2, theta2):
-    kd = build_kernel_vectors(sys2, theta2)
     ns = assemble_K(sys2, theta2, size=12, lam=1e6)
-    smooth, _, _ = compute_F(ns, kd)
+    smooth, _ = compute_F(ns)
     rhs = np.zeros_like(smooth)
     for j in range(2):
         rhs[j, ns.offsets[j]: ns.offsets[j + 1]] = -2j
@@ -145,9 +143,19 @@ def test_F_large_lambda_tends_to_f(sys2, theta2):
 
 def test_F_solver_residual(sys2, theta2):
     ns = assemble_K(sys2, theta2, size=64)
-    kd = build_kernel_vectors(sys2, theta2)
-    _, _, residual = compute_F(ns, kd)
+    _, residual = compute_F(ns)
     assert residual <= 1e-10
+
+
+def test_F_uses_the_same_singularity_floor_as_solve_phi(sys2, theta2):
+    # lambda just above the largest eigenvalue mu of K leaves Id - K/lambda
+    # with sigma_min / sigma_max near 4e-12, below SIGMA_FLOOR = 1e-10
+    mu = float(np.max(np.linalg.eigvals(assemble_K(sys2, theta2, size=32).kernel).real))
+    lam = mu * (1.0 + 1e-11)
+    smin, smax, _ = extreme_singular_values(assemble_K(sys2, theta2, size=32, lam=lam))
+    assert smin < SIGMA_FLOOR * smax
+    with pytest.raises(NearSingularError):
+        build_gamma(sys2, theta2, lam=lam, size=32)
 
 
 # -- Gamma: jump, determinant, decay, no-jump -----------------------------------
@@ -196,8 +204,8 @@ def test_gamma_no_jump_combinations(gamma2, sys2):
         x = float(x)
         gp = gamma2.eval(x, side=+1)
         gm = gamma2.eval(x, side=-1)
-        fv = gamma2.kernel.f_vector(x)
-        gv = gamma2.kernel.g_vector(x)
+        fv = gamma2.f_vector(x)
+        gv = gamma2.g_vector(x)
         worst_f = max(worst_f, np.max(np.abs((gp - gm) @ fv)))
         worst_g = max(worst_g, np.max(np.abs(
             gv @ (np.linalg.inv(gp) - np.linalg.inv(gm)))))
@@ -209,14 +217,13 @@ def test_gamma_no_jump_combinations(gamma2, sys2):
 def test_batched_gamma_checks_match_pointwise(request, n, lam):
     sys = request.getfixturevalue(f"sys{n}")
     gam = build_gamma(sys, request.getfixturevalue(f"theta{n}"), lam=lam, size=48)
-    kd = gam.kernel
     pts = interior_points(sys, 9)
     jump = nojump_f = nojump_g = 0.0
     for x in pts:
         k = sys.locate(x)
         f = np.zeros(n, dtype=complex)
-        f[k] = kd.f_component(k, x)
-        g = kd.g_matrix(k, [x])[:, 0]
+        f[k] = -2j * sys.weight(k, x)
+        g = kernel_g(sys, gam.theta, k, [x])[:, 0]
         gp = gam.eval(float(x), side=+1)
         gm = gam.eval(float(x), side=-1)
         jump = max(jump, np.max(np.abs(gp - gm @ (np.eye(n) - np.outer(f, g) / lam))))
@@ -310,8 +317,8 @@ def test_resolvent_side_independence(gamma2, sys2):
         x = float(sys2.from_unit(jx, rng.uniform(-0.9, 0.9)))
         if z == x:
             continue
-        az_p = gamma2.kernel.g_vector(x) @ np.linalg.inv(gamma2.eval(x, side=+1))
-        az_m = gamma2.kernel.g_vector(x) @ np.linalg.inv(gamma2.eval(x, side=-1))
+        az_p = gamma2.g_vector(x) @ np.linalg.inv(gamma2.eval(x, side=+1))
+        az_m = gamma2.g_vector(x) @ np.linalg.inv(gamma2.eval(x, side=-1))
         gf_p = gamma2.gamma_f(z, side=+1)
         gf_m = gamma2.gamma_f(z, side=-1)
         rp = np.dot(az_p - 0, gf_p)
@@ -396,7 +403,7 @@ def _difference_form_resolvent(gam, nu, nmodes):
     for m in range(sys.n):
         z = sys.from_unit(m, cheb.cheb2_nodes(nmodes))
         G = gam.eval(z, side=ABOVE)
-        Az = np.einsum("qa,qam->qm", gam.kernel.g_vector(z), np.linalg.inv(G))
+        Az = np.einsum("qa,qam->qm", gam.g_vector(z), np.linalg.inv(G))
         vals = []
         for zp, col, az in zip(z, G[:, :, m], Az):
             on = np.abs(zp - x) <= 8 * np.finfo(float).eps * sys.scale
@@ -480,7 +487,7 @@ def test_chopped_gamma_matches_the_full_density(request, monkeypatch, n, size, l
 def test_compute_F_leaves_the_nystrom_matrices_unchanged(sys3, theta3, lam):
     ns = assemble_K(sys3, theta3, size=48, lam=lam)
     matrix, kernel = ns.matrix.copy(), ns.kernel.copy()
-    smooth, _, residual = compute_F(ns, build_kernel_vectors(sys3, theta3))
+    smooth, residual = compute_F(ns)
     np.testing.assert_array_equal(ns.matrix, matrix)
     np.testing.assert_array_equal(ns.kernel, kernel)
     assert residual <= 1e-13 * np.max(np.abs(smooth))
@@ -626,7 +633,7 @@ def test_jump_equals_density(gamma2, sys2):
                  + ns.kernel_apply_smooth(gamma2.F_smooth_nodes[j], k,
                                           np.array([x]))[0] / ns.lam)
             for j in range(2)])
-        expect = -np.outer(F, gamma2.kernel.g_vector(x)) / gamma2.lam
+        expect = -np.outer(F, gamma2.g_vector(x)) / gamma2.lam
         np.testing.assert_allclose(jump, expect, atol=1e-8)
 
 

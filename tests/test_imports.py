@@ -80,3 +80,17 @@ def test_the_kernel_reads_the_radical_in_one_place():
     callers = [f"{name}:{owner}" for name in ("solver.py", "gamma.py")
                for owner in _callers(ast.parse((SRC / name).read_text()), "radical_eval")]
     assert callers == ["solver.py:kernel_g"]
+
+
+def test_every_attribute_set_on_self_is_read():
+    # an attribute the package stores but nothing reads is dead state
+    def attrs(path, ctx):
+        return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+                and (ctx is ast.Load or getattr(node.value, "id", None) == "self")}
+
+    assigned = set().union(*(attrs(p, ast.Store) for p in sorted(SRC.glob("*.py"))))
+    files = [p for d in ("src", "tests", "demos", "bench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    read = set().union(*(attrs(p, ast.Load) for p in files))
+    assert sorted(assigned - read) == []

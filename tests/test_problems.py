@@ -8,7 +8,13 @@ import pytest
 import mifht.gamma
 import mifht.uniform
 from mifht import chebyshev as cheb
-from mifht import DegenerateDiagonalError, RangeViolationError, SchemaError
+from mifht import (
+    DegenerateDiagonalError,
+    NonFiniteError,
+    RangeViolationError,
+    SchemaError,
+    ThetaMatrix,
+)
 from mifht.chebyshev import (
     PiecewiseFunction,
     cheb2_nodes,
@@ -334,7 +340,7 @@ def test_invert_chops_phi_and_reports_its_modes(monkeypatch):
 
 
 def _ref_gtinv(gam, x):
-    return gam.kernel.g_vector(x) @ np.linalg.inv(gam.eval(x, side=1))
+    return gam.g_vector(x) @ np.linalg.inv(gam.eval(x, side=1))
 
 
 def _ref_resolvent(gam, nu, nmodes):
@@ -347,7 +353,7 @@ def _ref_resolvent(gam, nu, nmodes):
         vals = []
         for z in sys.from_unit(m, cheb2_nodes(nmodes)):
             G = gam.eval(z, side=1)
-            Az = gam.kernel.g_vector(z) @ np.linalg.inv(G)
+            Az = gam.g_vector(z) @ np.linalg.inv(G)
             vals.append(-sum(
                 np.sum(grid.sqrt_weights[k] * p[k] * ((Ax[k] - Az) @ G[:, m])
                        / (z - grid.nodes[k])) for k in range(sys.n)) / np.pi)
@@ -560,6 +566,19 @@ MALFORMED = {
     "range-tol-key-not-read": (MINIMAL + "range_tol = 1e-8\n", ["invert"]),
 }
 MALFORMED_ERROR = {"tmax-beyond-inverse-map-range": "RangeExceededError"}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_theta_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(NonFiniteError, match="theta entries must be finite"):
+        ThetaMatrix([[1.0, bad], [bad, 1.0]])
+
+
+def test_problem_file_reports_non_finite_theta_as_a_schema_error():
+    # a problem file gets its exit-2 schema error before the library check
+    text = SPD2.replace("[[1,0.5],[0.5,1]]", "[[1,1e999],[1e999,1]]")
+    with pytest.raises(SchemaError, match="theta: entries must be finite"):
+        parse_problem(text).theta_matrix()
 
 
 @pytest.mark.parametrize("case", MALFORMED)

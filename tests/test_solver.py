@@ -8,6 +8,7 @@ from mifht import (
     DegenerateDiagonalError,
     PiecewiseFunction,
     ZeroLambdaError,
+    build_gamma,
     fht_forward,
     fht_invert,
     make_interval_system,
@@ -511,3 +512,14 @@ def test_solve_complex_data(sys2, theta2):
     res = solve_phi(theta2, psi, size=64)
     x = interior_points(sys2, 15)
     assert np.max(np.abs(res.phi(x) - phi0(x))) <= 1e-10
+
+
+def test_theta_size_must_match_the_interval_system(sys2, theta2):
+    theta3 = ThetaMatrix(np.eye(3) + 0.1)
+    psi = forward_map(theta2, random_sqrt_vanishing(sys2, modes=8))
+    for call in (lambda: assemble_K(sys2, theta3, size=8),
+                 lambda: solve_phi(theta3, psi, size=8),
+                 lambda: build_gamma(sys2, theta3, size=8),
+                 lambda: injectivity_report(theta3, sys2, size=8)):
+        with pytest.raises(ValueError, match="theta size does not match"):
+            call()
