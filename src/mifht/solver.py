@@ -19,7 +19,7 @@ smooth parts and converges geometrically for analytic data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,7 @@ from .errors import (
     ZeroLambdaError,
 )
 from .intervals import IntervalSystem, joukowski_exterior, radical_eval, unit_radical
-from .quadrature import QuadratureGrid, chebyshev2_grid, legendre_grid
+from .quadrature import QuadratureGrid, _sizes, chebyshev2_grid, legendre_grid
 from .single import _invert_coeffs, fht_forward, range_scan
 
 SPD = "spd-symmetric"
@@ -142,6 +142,8 @@ def compute_nu(psi: PiecewiseFunction, c=None, theta=None) -> PiecewiseFunction:
     """nu_j = H_j^{-1}[(psi_j - c_j) / theta_jj], a sqrt-vanishing function."""
     theta = as_theta(theta if theta is not None else np.eye(psi.sys.n))
     theta.require_invertible_diagonal()
+    if theta.n != psi.sys.n:
+        raise ValueError("theta size does not match the interval system")
     if c is None:
         c = compute_c(psi)
     coeffs = []
@@ -188,10 +190,10 @@ class NystromSystem:
 
     The unknowns are smooth parts: phi = w_j * p on I_j, and the operator
     acts on the stacked node values of p.  ``kernel`` is the K-part alone
-    (zero diagonal blocks) and the only N x N array held; ``apply`` gives
-    (Id - K/lambda) x from it, and ``matrix`` builds Id - K/lambda on each
-    access.  ``g_nodes`` holds g at the stacked nodes, so block (j, k) of
-    ``kernel`` is g_j(x) sw(x) / (pi (x - z)).
+    (zero diagonal blocks), read-only and the only N x N array held;
+    ``apply`` gives (Id - K/lambda) x from it, and ``matrix`` builds
+    Id - K/lambda on each access.  ``g_nodes`` holds g at the stacked
+    nodes, so block (j, k) of ``kernel`` is g_j(x) sw(x) / (pi (x - z)).
     """
 
     sys: IntervalSystem
@@ -281,11 +283,23 @@ def _real_matmul(a, b):
     return out.view(complex).reshape(a.shape[:1] + b.shape[1:])
 
 
+# the last operator assembled, keyed by (endpoints, theta, grid sizes):
+# (its NystromSystem, a memo of its range finder)
+_OPERATOR_CACHE = {}
+
+
+def clear_kernel_cache():
+    _OPERATOR_CACHE.clear()
+
+
 def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     """Build the dense collocation of K for Id - K/lambda.
 
-    Zero diagonal blocks and real entries are structural; both are asserted
-    by the unit tests rather than here.
+    K does not depend on lambda, so the last operator is cached: a repeat of
+    (sys, theta, grid sizes) shares its read-only ``kernel``, grid and
+    ``g_nodes`` under its own lambda.  A new operator evicts the old one
+    before it is built.  Zero diagonal blocks and real entries are
+    structural; both are asserted by the unit tests rather than here.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -293,6 +307,14 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
         raise ValueError("theta size does not match the interval system")
     if lam == 0:
         raise ZeroLambdaError("lambda must be nonzero")
+    key = (sys.endpoints.tobytes(), theta.entries.tobytes(), tuple(_sizes(sys, size)))
+    if key not in _OPERATOR_CACHE:
+        _OPERATOR_CACHE.clear()
+        _OPERATOR_CACHE[key] = (_assemble(sys, theta, size), {})
+    return replace(_OPERATOR_CACHE[key][0], sys=sys, theta=theta, lam=lam)
+
+
+def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:
     grid = chebyshev2_grid(sys, size)
     sizes = np.array([len(x) for x in grid.nodes])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -312,8 +334,8 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
             block = kern[rows, cols]
             np.subtract(grid.nodes[k][None, :], zj[:, None], out=block)
             np.divide(gsw[j, cols], block, out=block)
-
-    return NystromSystem(sys=sys, theta=theta, grid=grid, lam=lam,
+    kern.flags.writeable = False
+    return NystromSystem(sys=sys, theta=theta, grid=grid, lam=1.0,
                          kernel=kern, offsets=offsets, g_nodes=g_nodes)
 
 
@@ -341,6 +363,32 @@ SKETCH_BLOCK = 32
 SIGMA_FLOOR = 1e-10
 
 
+def _range_finder(A, target):
+    """(Q, rows, errs) of the seeded range finder of A; ``errs`` holds
+    ||A - Q Q^T A||_F after each block, the last one <= target unless Q
+    spans the whole space."""
+    N = A.shape[0]
+    rng = np.random.default_rng(0)
+    Q = np.empty((N, 0))
+    rows, errs = [], []  # block^T (A - Q Q^T A) = block^T A, the rows of Q^T A
+    resid = A  # the first deflation writes a new array, later ones overwrite it
+    while True:
+        k = Q.shape[1]
+        Y = resid @ rng.standard_normal((N, min(SKETCH_BLOCK, N - k)))
+        # one Householder QR of [Q, Y] keeps the new block orthogonal to Q
+        # even where Y is rank deficient
+        block = np.linalg.qr(np.hstack([Q, Y]))[0][:, k:]
+        Q = np.hstack([Q, block])
+        rows.append(block.T @ resid)
+        # resid - block rows, as its transpose: Fortran order for BLAS, so
+        # the first call copies A contiguously and later calls work in place
+        resid = scipy.linalg.blas.dgemm(-1.0, rows[-1].T, block.T, 1.0, resid.T,
+                                        overwrite_c=resid is not A).T
+        errs.append(np.linalg.norm(resid))
+        if errs[-1] <= target or Q.shape[1] == N:
+            return Q, rows, errs
+
+
 def extreme_singular_values(ns: NystromSystem):
     """(sigma_min, sigma_max, err) of Id - K/lambda.
 
@@ -364,26 +412,18 @@ def extreme_singular_values(ns: NystromSystem):
     A = ns.kernel  # real; K = A / lam
     N = A.shape[0]
     lam = _operator_lam(ns.lam)
-    target = SKETCH_TOL * max(abs(lam), np.linalg.norm(A))
-    rng = np.random.default_rng(0)
-    Q = np.empty((N, 0))
-    rows = []  # block^T (A - Q Q^T A) = block^T A, the rows of Q^T A
-    resid = A  # the first deflation writes a new array, later ones overwrite it
-    while True:
-        k = Q.shape[1]
-        Y = resid @ rng.standard_normal((N, min(SKETCH_BLOCK, N - k)))
-        # one Householder QR of [Q, Y] keeps the new block orthogonal to Q
-        # even where Y is rank deficient
-        block = np.linalg.qr(np.hstack([Q, Y]))[0][:, k:]
-        Q = np.hstack([Q, block])
-        rows.append(block.T @ resid)
-        # resid - block rows, as its transpose: Fortran order for BLAS, so
-        # the first call copies A contiguously and later calls work in place
-        resid = scipy.linalg.blas.dgemm(-1.0, rows[-1].T, block.T, 1.0, resid.T,
-                                        overwrite_c=resid is not A).T
-        err = np.linalg.norm(resid)
-        if err <= target or Q.shape[1] == N:
-            break
+    # only the stopping target depends on lambda: a cached kernel keeps its
+    # longest run, and a later target takes the prefix the run stops at
+    memo = next((m for base, m in _OPERATOR_CACHE.values() if base.kernel is A), {})
+    norm, Q, rows, errs = memo.get("sketch") or (np.linalg.norm(A), None, [], [])
+    target = SKETCH_TOL * max(abs(lam), norm)
+    stop = next((i for i, e in enumerate(errs) if e <= target
+                 or i == len(errs) - 1 and Q.shape[1] == N), None)
+    if stop is None:
+        Q, rows, errs = _range_finder(A, target)
+        memo["sketch"], stop = (norm, Q, rows, errs), len(errs) - 1
+    rows, err = rows[: stop + 1], errs[stop]
+    Q = np.ascontiguousarray(Q[:, : sum(len(r) for r in rows)])
     W = np.vstack(rows) / lam
     WQ = W @ Q
     k = Q.shape[1]

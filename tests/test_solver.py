@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mifht.solver import (
     assemble_K,
     bilinear_form_J,
     bilinear_form_J_many,
+    clear_kernel_cache,
     compute_c,
     compute_nu,
     extreme_singular_values,
@@ -135,6 +137,17 @@ def test_compute_nu_degenerate_diagonal(sys2):
         compute_nu(psi, theta=ThetaMatrix([[0.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_compute_nu_rejects_a_theta_of_the_wrong_size(sys2, theta2, n):
+    # too small used to end in an IndexError from theta[j, j]
+    psi = forward_map(theta2, random_sqrt_vanishing(sys2, modes=8))
+    theta = ThetaMatrix(np.eye(n) + 0.1 * (1 - np.eye(n)))
+    for call in (lambda: compute_nu(psi, theta=theta),
+                 lambda: solve_phi(theta, psi, size=8)):
+        with pytest.raises(ValueError, match="theta size does not match"):
+            call()
+
+
 # -- the Nystrom system --------------------------------------------------------
 
 
@@ -213,6 +226,103 @@ def test_assemble_errors(sys2):
         assemble_K(sys2, ThetaMatrix([[1.0, 0.2], [0.2, 1.0]]), lam=0.0, size=8)
     with pytest.raises(DegenerateDiagonalError):
         assemble_K(sys2, ThetaMatrix([[0.0, 1.0], [1.0, 1.0]]), size=8)
+
+
+# -- the operator cache -------------------------------------------------------
+
+
+def test_one_operator_at_two_lambdas_shares_one_kernel(sys3, theta3):
+    a = assemble_K(sys3, theta3, size=20, lam=1.0)
+    b = assemble_K(sys3, ThetaMatrix(theta3.entries.copy()), size=[20] * 3,
+                   lam=0.7 + 0.4j)
+    assert b.kernel is a.kernel and b.g_nodes is a.g_nodes and b.grid is a.grid
+    assert (a.lam, b.lam) == (1.0, 0.7 + 0.4j)
+    np.testing.assert_array_equal(b.matrix, np.eye(b.size) - b.kernel / b.lam)
+
+
+def test_another_theta_size_or_geometry_gets_a_fresh_kernel(sys3, theta3):
+    ulp = theta3.entries.copy()
+    ulp[0, 1] = np.nextafter(ulp[0, 1], 1.0)
+    moved = make_interval_system(sys3.endpoints + [[0.0, 0.0], [0.0, 0.0], [0.0, 0.5]])
+    for sys, theta, size in ((sys3, ThetaMatrix(ulp), 20), (sys3, theta3, 21),
+                             (sys3, theta3, [20, 20, 21]), (moved, theta3, 20)):
+        base = assemble_K(sys3, theta3, size=20)
+        other = assemble_K(sys, theta, size=size)
+        assert other.kernel is not base.kernel
+        clear_kernel_cache()
+        np.testing.assert_array_equal(other.kernel, assemble_K(sys, theta, size=size).kernel)
+
+
+def test_a_second_operator_evicts_the_first(monkeypatch, sys2, sys3, theta2, theta3):
+    first = weakref.ref(assemble_K(sys3, theta3, size=20).kernel)
+    assert first() is not None
+    build, alive = solver._assemble, []
+    monkeypatch.setattr(solver, "_assemble",
+                        lambda *args: alive.append(first() is not None) or build(*args))
+    second = assemble_K(sys2, theta2, size=20)
+    assert alive == [False] and first() is None
+    assert assemble_K(sys2, theta2, size=20).kernel is second.kernel
+    assert alive == [False]
+
+
+def test_the_shared_kernel_is_read_only(sys3, theta3):
+    ns = assemble_K(sys3, theta3, size=20)
+    with pytest.raises(ValueError, match="read-only"):
+        ns.kernel[0, 1] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ns.kernel *= 2.0
+
+
+def test_the_memoized_sketch_returns_the_cold_values_at_any_lambda():
+    # at gap 0.01 the first block leaves err ~ 1e-10 and the second ~ 1e-16,
+    # so the target SKETCH_TOL max(|lambda|, ||K||_F) stops the run after one
+    # block for lambda = 1e5 and after two for lambda near 1: a warm sketch
+    # serves a shorter prefix of its run, or runs on to a tighter target
+    sys = make_interval_system([(-1.0, 0.0), (0.01, 1.0)])
+    theta = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
+    lams = (1e5, 1.0, 1e5, 1e-3, 0.7 + 0.4j, -2.0, 1e12)
+    warm = [extreme_singular_values(assemble_K(sys, theta, size=96, lam=lam))
+            for lam in lams]
+    for lam, got in zip(lams, warm):
+        clear_kernel_cache()
+        assert got == extreme_singular_values(assemble_K(sys, theta, size=96, lam=lam))
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def test_a_warm_cache_changes_no_output(sys3, theta3):
+    psi = forward_map(theta3, random_sqrt_vanishing(sys3, modes=8, seed=5))
+    points = np.array([0.5 + 0.5j, 4.0, -1.5])
+
+    def direct():
+        res = solve_phi(theta3, psi, size=48)
+        return res.nystrom.kernel, [res.phi.coeffs, res.c, res.diagnostics]
+
+    def gamma(lam):
+        g = build_gamma(sys3, theta3, lam=lam, size=48)
+        return g.nystrom.kernel, [g.density, g.f_residual, g.eval(points)]
+
+    def report():
+        return None, injectivity_report(theta3, sys3, size=48, n_samples=3)
+
+    calls = (direct, lambda: gamma(1.0), lambda: gamma(0.7 + 0.4j), report)
+    cold = []
+    for call in calls:
+        clear_kernel_cache()
+        cold.append(call()[1])
+    shared = assemble_K(sys3, theta3, size=48).kernel
+    for call, want in zip(calls, cold):
+        kernel, got = call()
+        assert kernel is None or kernel is shared
+        assert _same(got, want)
 
 
 # -- solve_phi ----------------------------------------------------------------
