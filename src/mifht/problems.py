@@ -424,6 +424,7 @@ def _cmd_invert(spec, sys, theta):
             np.max(np.abs(res.diagnostics["range2_residual"])), tol),
         "classification": theta.classification,
         "warning": res.diagnostics["warning"],
+        "sketch": res.nystrom.sketch,
     }
     diag["resolution"] = {"phi_modes": [a.size for a in res.phi.coeffs]}
     tables = {"phi": _table(res.phi), "nu": _table(res.nu)}
@@ -466,6 +467,7 @@ def _cmd_range_check(spec, sys, theta):
                 and "pass" in v]
     diag["in_range"] = bool(all(verdicts))
     diag["resolution"] = gam.density_resolution()
+    diag["sketch"] = gam.nystrom.sketch
     return diag, {"nu": _table(nu)}
 
 
@@ -487,6 +489,7 @@ def _cmd_gamma_check(spec, sys, theta):
         "nojump_gt_gamma_inv": _check(nj_g, 1e-8),
         "f_solve_residual": gam.f_residual,
         "resolution": gam.density_resolution(),
+        "sketch": gam.nystrom.sketch,
     }
     return diag, {}
 
@@ -538,6 +541,7 @@ def _cmd_injectivity(spec, sys, theta):
         "spd": rep["spd"],
         "caveat": rep["caveat"],
         "j_positive": bool(np.all(rep["j_samples"] > 0)),
+        "sketch": rep["sketch"],
     }
     return diag, {}
 

@@ -194,6 +194,8 @@ class NystromSystem:
     ``apply`` gives (Id - K/lambda) x from it, and ``matrix`` builds
     Id - K/lambda on each access.  ``g_nodes`` holds g at the stacked
     nodes, so block (j, k) of ``kernel`` is g_j(x) sw(x) / (pi (x - z)).
+    ``basis`` Q, ``rows`` Q^T K and ``sketch_err`` ||K - Q Q^T K||_F are
+    the lambda-free sketch of ``kernel``, made once by ``_assemble``.
     """
 
     sys: IntervalSystem
@@ -203,10 +205,18 @@ class NystromSystem:
     kernel: np.ndarray = field(repr=False)
     offsets: np.ndarray
     g_nodes: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    sketch_err: float
 
     @property
     def size(self):
         return self.kernel.shape[0]
+
+    @property
+    def sketch(self):
+        """Rank and Frobenius error of the lambda-free sketch of K."""
+        return {"rank": self.basis.shape[1], "err": self.sketch_err}
 
     @property
     def matrix(self):
@@ -217,9 +227,6 @@ class NystromSystem:
     def apply(self, x):
         """(Id - K/lambda) x for a vector or a block of columns x."""
         return x - _real_matmul(self.kernel, x) / _operator_lam(self.lam)
-
-    def stack(self, per_interval_values):
-        return np.concatenate([np.asarray(v) for v in per_interval_values])
 
     def split(self, flat):
         return [flat[self.offsets[j]: self.offsets[j + 1]]
@@ -283,8 +290,7 @@ def _real_matmul(a, b):
     return out.view(complex).reshape(a.shape[:1] + b.shape[1:])
 
 
-# the last operator assembled, keyed by (endpoints, theta, grid sizes):
-# (its NystromSystem, a memo of its range finder)
+# the last operator assembled and sketched, keyed by (endpoints, theta, sizes)
 _OPERATOR_CACHE = {}
 
 
@@ -295,11 +301,11 @@ def clear_kernel_cache():
 def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     """Build the dense collocation of K for Id - K/lambda.
 
-    K does not depend on lambda, so the last operator is cached: a repeat of
-    (sys, theta, grid sizes) shares its read-only ``kernel``, grid and
-    ``g_nodes`` under its own lambda.  A new operator evicts the old one
-    before it is built.  Zero diagonal blocks and real entries are
-    structural; both are asserted by the unit tests rather than here.
+    K and its sketch do not depend on lambda, so the last operator is cached:
+    a repeat of (sys, theta, grid sizes) shares its read-only ``kernel``,
+    grid, ``g_nodes`` and sketch under its own lambda.  A new operator evicts
+    the old one before it is built.  Zero diagonal blocks and real entries
+    are structural; both are asserted by the unit tests rather than here.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -310,19 +316,17 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     key = (sys.endpoints.tobytes(), theta.entries.tobytes(), tuple(_sizes(sys, size)))
     if key not in _OPERATOR_CACHE:
         _OPERATOR_CACHE.clear()
-        _OPERATOR_CACHE[key] = (_assemble(sys, theta, size), {})
-    return replace(_OPERATOR_CACHE[key][0], sys=sys, theta=theta, lam=lam)
+        _OPERATOR_CACHE[key] = _assemble(sys, theta, size)
+    return replace(_OPERATOR_CACHE[key], sys=sys, theta=theta, lam=lam)
 
 
 def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:
     grid = chebyshev2_grid(sys, size)
-    sizes = np.array([len(x) for x in grid.nodes])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = offsets[-1]
+    offsets = np.concatenate([[0], np.cumsum(grid.sizes)])
 
     g_nodes = _stacked_g(sys, theta, grid)
     gsw = g_nodes * np.concatenate(grid.sqrt_weights) / np.pi
-    kern = np.zeros((total, total))
+    kern = np.zeros((offsets[-1], offsets[-1]))
     for j in range(sys.n):
         zj = grid.nodes[j]
         rows = slice(offsets[j], offsets[j + 1])
@@ -335,8 +339,10 @@ def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:
             np.subtract(grid.nodes[k][None, :], zj[:, None], out=block)
             np.divide(gsw[j, cols], block, out=block)
     kern.flags.writeable = False
+    q, qk, err = _range_finder(kern, SKETCH_TOL * max(1.0, np.linalg.norm(kern)))
     return NystromSystem(sys=sys, theta=theta, grid=grid, lam=1.0,
-                         kernel=kern, offsets=offsets, g_nodes=g_nodes)
+                         kernel=kern, offsets=offsets, g_nodes=g_nodes,
+                         basis=q, rows=qk, sketch_err=err)
 
 
 def _solve_refined(ns: NystromSystem, b):
@@ -364,13 +370,12 @@ SIGMA_FLOOR = 1e-10
 
 
 def _range_finder(A, target):
-    """(Q, rows, errs) of the seeded range finder of A; ``errs`` holds
-    ||A - Q Q^T A||_F after each block, the last one <= target unless Q
-    spans the whole space."""
+    """(Q, Q^T A, ||A - Q Q^T A||_F) of the seeded range finder of A, grown
+    until that error is <= target or Q spans the whole space."""
     N = A.shape[0]
     rng = np.random.default_rng(0)
     Q = np.empty((N, 0))
-    rows, errs = [], []  # block^T (A - Q Q^T A) = block^T A, the rows of Q^T A
+    rows = []  # block^T (A - Q Q^T A) = block^T A, the rows of Q^T A
     resid = A  # the first deflation writes a new array, later ones overwrite it
     while True:
         k = Q.shape[1]
@@ -384,20 +389,20 @@ def _range_finder(A, target):
         # the first call copies A contiguously and later calls work in place
         resid = scipy.linalg.blas.dgemm(-1.0, rows[-1].T, block.T, 1.0, resid.T,
                                         overwrite_c=resid is not A).T
-        errs.append(np.linalg.norm(resid))
-        if errs[-1] <= target or Q.shape[1] == N:
-            return Q, rows, errs
+        err = float(np.linalg.norm(resid))
+        if err <= target or Q.shape[1] == N:
+            return Q, np.vstack(rows), err
 
 
 def extreme_singular_values(ns: NystromSystem):
     """(sigma_min, sigma_max, err) of Id - K/lambda.
 
     K has zero diagonal blocks and smooth off-diagonal blocks, so it has
-    low numerical rank.  A randomized range finder (Halko-Martinsson-Tropp,
-    SIAM Rev. 2011) with a fixed seed grows an orthonormal Q, SKETCH_BLOCK
-    columns at a time, until ``err = ||K - Q W||_F <= SKETCH_TOL max(1,
-    ||K||_F)`` with W = Q^H K, or until Q spans the whole space.  The rows
-    of W are the products block^H (K - Q Q^H K) that deflate the residual.
+    low numerical rank.  ``_assemble`` sketches the lambda-free K once: a
+    seeded randomized range finder (Halko-Martinsson-Tropp, SIAM Rev. 2011)
+    grows an orthonormal Q, SKETCH_BLOCK columns at a time, until
+    ||K - Q Q^T K||_F <= SKETCH_TOL max(1, ||K||_F) or Q spans the whole
+    space.  Here W = Q^T K / lambda and ``err = ||K/lambda - Q W||_F``.
 
     Split W^H = Q (W Q)^H + X with X orthogonal to Q and X = V R its QR
     factorization.  On the span P of [Q, V] the operator Id - Q W acts as
@@ -409,33 +414,20 @@ def extreme_singular_values(ns: NystromSystem):
     bracket 1; when it does, B = I - W Q.  By Weyl's inequality each
     extreme differs from the dense value by at most err.
     """
-    A = ns.kernel  # real; K = A / lam
-    N = A.shape[0]
     lam = _operator_lam(ns.lam)
-    # only the stopping target depends on lambda: a cached kernel keeps its
-    # longest run, and a later target takes the prefix the run stops at
-    memo = next((m for base, m in _OPERATOR_CACHE.values() if base.kernel is A), {})
-    norm, Q, rows, errs = memo.get("sketch") or (np.linalg.norm(A), None, [], [])
-    target = SKETCH_TOL * max(abs(lam), norm)
-    stop = next((i for i, e in enumerate(errs) if e <= target
-                 or i == len(errs) - 1 and Q.shape[1] == N), None)
-    if stop is None:
-        Q, rows, errs = _range_finder(A, target)
-        memo["sketch"], stop = (norm, Q, rows, errs), len(errs) - 1
-    rows, err = rows[: stop + 1], errs[stop]
-    Q = np.ascontiguousarray(Q[:, : sum(len(r) for r in rows)])
-    W = np.vstack(rows) / lam
+    Q = ns.basis
+    W = ns.rows / lam
     WQ = W @ Q
     k = Q.shape[1]
-    if k == N:
-        B = np.eye(N) - WQ
+    if k == ns.size:
+        B = np.eye(k) - WQ
     else:
         R = np.linalg.qr(W.conj().T - Q @ WQ.conj().T, mode="r")
         B = np.eye(2 * k, dtype=W.dtype)
         B[:k, :k] -= WQ
         B[:k, k:] -= R.conj().T
     svals = np.linalg.svd(B, compute_uv=False)
-    return float(svals[-1]), float(svals[0]), float(err / abs(lam))
+    return float(svals[-1]), float(svals[0]), ns.sketch_err / abs(lam)
 
 
 def _checked_solve(ns: NystromSystem, b):
@@ -483,8 +475,8 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     nu = compute_nu(psi, c, theta)
     ns = assemble_K(sys, theta, size=size, lam=1.0)
 
-    rhs = ns.stack([cheb.chebU_nodal(nu.coeffs[j], m)
-                    for j, m in enumerate(ns.grid.sizes)])
+    rhs = np.concatenate([cheb.chebU_nodal(nu.coeffs[j], m)
+                          for j, m in enumerate(ns.grid.sizes)])
     real_data = psi.field == "real"
     if real_data:
         rhs = rhs.real
@@ -680,6 +672,7 @@ def injectivity_report(theta, sys: IntervalSystem, size=96, n_samples=20,
         "j_over_norm_min": float(np.min(jvals / norms)),
         "j_samples": jvals,
         "spd": theta.classification == SPD,
+        "sketch": ns.sketch,
         "caveat": None if theta.classification == SPD else
         "theta is not SPD; J-positivity and invertibility are not guaranteed",
     }

@@ -35,6 +35,7 @@ from mifht.problems import (
 )
 from mifht.quadrature import chebyshev2_grid
 from mifht.solver import (
+    SKETCH_TOL,
     _cross_nodes,
     assemble_K,
     clear_kernel_cache,
@@ -494,6 +495,20 @@ def test_injectivity_diagnostics_match_per_point_reference():
     dense = np.linalg.svd(assemble_K(sys, theta, size=40).matrix, compute_uv=False)
     assert abs(d["sigma_min"] - dense[-1]) <= 1e-13
     assert abs(d["sigma_max"] - dense[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("command", ["invert", "range-check", "gamma-check",
+                                     "injectivity-report"])
+def test_nystrom_commands_report_the_sketch_of_their_kernel(command):
+    spec = parse_problem(N3_SPD.replace("command = invert", f"command = {command}"))
+    sketch = json.loads(run_command(spec).to_json())["diagnostics"]["sketch"]
+    ns = assemble_K(spec.system(), spec.theta_matrix(), size=spec.param("nystrom"))
+    K, Q = ns.kernel, ns.basis
+    assert set(sketch) == {"rank", "err"}
+    assert sketch["rank"] == Q.shape[1] <= ns.size
+    target = SKETCH_TOL * max(1.0, np.linalg.norm(K))
+    assert sketch["err"] <= target
+    assert np.linalg.norm(K - Q @ (Q.T @ K)) <= target
 
 
 def test_serialization_round_trip(tmp_path):

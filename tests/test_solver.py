@@ -274,10 +274,10 @@ def test_the_shared_kernel_is_read_only(sys3, theta3):
 
 
 def test_the_memoized_sketch_returns_the_cold_values_at_any_lambda():
-    # at gap 0.01 the first block leaves err ~ 1e-10 and the second ~ 1e-16,
-    # so the target SKETCH_TOL max(|lambda|, ||K||_F) stops the run after one
-    # block for lambda = 1e5 and after two for lambda near 1: a warm sketch
-    # serves a shorter prefix of its run, or runs on to a tighter target
+    # the operator is sketched once, at the lambda-free target
+    # SKETCH_TOL max(1, ||K||_F), and only W = Q^T K / lambda, B and its SVD
+    # are formed per call, so a warm operator at any lambda, however far
+    # from 1, gives the cold call's values bit for bit
     sys = make_interval_system([(-1.0, 0.0), (0.01, 1.0)])
     theta = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
     lams = (1e5, 1.0, 1e5, 1e-3, 0.7 + 0.4j, -2.0, 1e12)
@@ -286,6 +286,28 @@ def test_the_memoized_sketch_returns_the_cold_values_at_any_lambda():
     for lam, got in zip(lams, warm):
         clear_kernel_cache()
         assert got == extreme_singular_values(assemble_K(sys, theta, size=96, lam=lam))
+
+
+def test_each_operator_runs_its_range_finder_once(monkeypatch):
+    # at gap 0.01 the first block leaves err ~ 1e-10 and the second ~ 1e-16:
+    # a target that scaled with |lambda| would stop after one block at
+    # lambda = 1e5 and need a second run at lambda = 1
+    sys = make_interval_system([(-1.0, 0.0), (0.01, 1.0)])
+    theta = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
+    finder, runs = solver._range_finder, []
+    monkeypatch.setattr(solver, "_range_finder",
+                        lambda *args: runs.append(args) or finder(*args))
+    ops = [assemble_K(sys, theta, size=96, lam=lam) for lam in (1e5, 1.0, 1e-3, 0.7 + 0.4j)]
+    for ns in ops:
+        extreme_singular_values(ns)
+    solve_phi(theta, forward_map(theta, random_sqrt_vanishing(sys, modes=8)), size=96)
+    build_gamma(sys, theta, lam=1.0, size=96)
+    injectivity_report(theta, sys, size=96, n_samples=2)
+    assert len(runs) == 1
+    assert all(ns.basis is ops[0].basis and ns.rows is ops[0].rows for ns in ops)
+    clear_kernel_cache()
+    assert assemble_K(sys, theta, size=96).basis is not ops[0].basis
+    assert len(runs) == 2
 
 
 def _same(a, b):
