@@ -2,20 +2,19 @@
 
 Exit codes: 0 ok, 2 schema (or a t-grid beyond the inverse-map range), 3
 geometry, 4 degenerate theta, 5 range violation, 6 near-singular, 7
-convergence.  MIFHT_THREADS caps the linear algebra thread pools (best
-effort: exported before numpy spins them up in worker stages).
+convergence, 1 any other package error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import (
     ConvergenceError,
     DegenerateDiagonalError,
     DomainError,
+    MifhtError,
     NearSingularError,
     NonFiniteError,
     OverlapError,
@@ -33,14 +32,6 @@ EXIT_CODES = (
     (NearSingularError, 6),
     (ConvergenceError, 7),
 )
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MIFHT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def build_parser():
@@ -62,7 +53,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     from .problems import parse_lambda, parse_problem, run_command, write_bundle
 
@@ -76,10 +66,9 @@ def main(argv=None):
         if args.lam is not None:
             spec.params["lambda"] = parse_lambda(args.lam)
         bundle = run_command(spec)
-    except tuple(exc for exc, _ in _flat_codes()) as err:
-        code = _code_for(err)
+    except MifhtError as err:
         print(f"error ({type(err).__name__}): {err}", file=sys.stderr)
-        return code
+        return next((code for exc, code in EXIT_CODES if isinstance(err, exc)), 1)
 
     if args.output:
         outdir = write_bundle(bundle, args.output)
@@ -88,22 +77,6 @@ def main(argv=None):
     else:
         print(bundle.to_json())
     return 0
-
-
-def _flat_codes():
-    for exc, code in EXIT_CODES:
-        if isinstance(exc, tuple):
-            for e in exc:
-                yield e, code
-        else:
-            yield exc, code
-
-
-def _code_for(err):
-    for exc, code in _flat_codes():
-        if isinstance(err, exc):
-            return code
-    return 1
 
 
 if __name__ == "__main__":

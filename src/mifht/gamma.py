@@ -47,9 +47,6 @@ from .solver import (
     _stacked_g,
 )
 
-# largest number of U modes sampled for the density series of Gamma
-GAMMA_MAX_MODES = 128
-
 
 def compute_F(nystrom: NystromSystem):
     """Solve (Id - K/lambda) F = f column-wise at the collocation nodes.
@@ -73,8 +70,9 @@ class GammaSolution:
     densities (F g^t)_{jm} = i w_l d_{jm}; the Cauchy integral of each
     density is then a geometric series in the exterior coordinate of I_l,
     valid on and off the cut (with a side selector on the cut).  Each
-    series is sampled on ``sampled_modes`` nodes and kept to the standard
-    chop of its n x n envelope, so every sum runs over the resolved modes.
+    series comes from F g^t at the M_l Nystrom nodes of I_l, with F from
+    the Fredholm solve, and is kept to the standard chop of its n x n
+    envelope, so every sum runs over the resolved modes.
     """
 
     def __init__(self, nystrom: NystromSystem):
@@ -84,21 +82,16 @@ class GammaSolution:
         self.lam = ns.lam
         self.nystrom = ns
         n = self.sys.n
-        nmodes = self.sampled_modes = min(GAMMA_MAX_MODES, max(ns.grid.sizes))
 
         smooth, self.f_residual = compute_F(ns)
         self.F_smooth_nodes = smooth
 
-        # interpolate the smooth parts of F off the collocation grid and
-        # assemble density coefficients D[l][j, m, :] with mu_jm = w_l * (i d)
+        # density coefficients D[l][j, m, :] with mu_jm = w_l * (i d), from
+        # the smooth parts of F and g at the nodes of I_l (row l of g is zero)
         self.density = []
-        for l in range(n):
-            z = self.sys.from_unit(l, cheb.cheb2_nodes(nmodes))
-            sig = ns.kernel_apply_smooth(smooth.T, l, z).T / ns.lam  # (n, nmodes)
-            sig[l] -= 2j
-            gmat = kernel_g(self.sys, self.theta, l, z)  # (n, nmodes), row l zero
-            dmat = np.einsum("jq,mq->jmq", sig, gmat)
-            coeffs = cheb.chebU_coeffs(dmat.reshape(n * n, nmodes))
+        for F_l, g_l in zip(ns.split(smooth.T), ns.split(ns.g_nodes.T)):
+            dmat = np.einsum("qj,qm->jmq", F_l, g_l)
+            coeffs = cheb.chebU_coeffs(dmat.reshape(n * n, -1))
             self.density.append(coeffs[:, : cheb.chop(coeffs)].reshape(n, n, -1))
 
     # -- the kernel vectors f and g --------------------------------------------
@@ -141,12 +134,13 @@ class GammaSolution:
     def density_resolution(self):
         """Kept modes per interval, and whether each series found no plateau.
 
-        ``gamma_density_capped[l]`` is true when the chop kept all
-        ``sampled_modes`` coefficients of interval l.
+        ``gamma_density_capped[l]`` is true when the chop kept all M_l
+        coefficients of interval l, one per Nystrom node.
         """
         modes = [D.shape[2] for D in self.density]
         return {"gamma_density_modes": modes,
-                "gamma_density_capped": [k == self.sampled_modes for k in modes]}
+                "gamma_density_capped": [
+                    k == m for k, m in zip(modes, self.nystrom.grid.sizes)]}
 
     # -- point evaluation ---------------------------------------------------
 
@@ -250,19 +244,12 @@ class GammaSolution:
         Nystrom system; shapes (Q, n, n), (Q, n, n) and (Q, n).
         """
         ns = self.nystrom
-        return self._on_cut(np.concatenate(ns.grid.nodes), ns.g_nodes)
-
-    def _nodal(self, pf: PiecewiseFunction):
-        """Smooth parts of a sqrt-vanishing function at the stacked Nystrom nodes."""
-        if not pf.weighted:
-            raise ValueError("nodal values are defined for weighted functions only")
-        return np.concatenate([cheb.chebU_nodal(pf.coeffs[k], m)
-                               for k, m in enumerate(self.nystrom.grid.sizes)])
+        return self._on_cut(ns.nodes, ns.g_nodes)
 
     def _node_moments(self, pf: PiecewiseFunction, rows):
         """sum_k int_{I_k} pf_k(x) rows_m(x) dx for rows (Q, n) at the nodes."""
-        sw = np.concatenate(self.nystrom.grid.sqrt_weights)
-        return (sw * self._nodal(pf)) @ rows
+        ns = self.nystrom
+        return (ns.sqrt_weights * ns.nodal(pf)) @ rows
 
     # -- validation helpers ---------------------------------------------------
 
@@ -323,9 +310,8 @@ class GammaSolution:
         Gamma_+^{-1} and A come from the node cache.
         """
         ns = self.nystrom
-        x = np.concatenate(ns.grid.nodes)[index]
         _, ginv, A = self._at_nodes
-        return self._slope(x, ns.g_nodes[:, index], ginv[index], A[index])
+        return self._slope(ns.nodes[index], ns.g_nodes[:, index], ginv[index], A[index])
 
     def resolvent_matrix(self):
         """Dense resolvent sampled like the Nystrom kernel: entries R(z,x) sw.
@@ -334,10 +320,9 @@ class GammaSolution:
         (Id + R)(Id - K/lambda) = Id on the grid.
         """
         ns = self.nystrom
-        xs = ns.grid.nodes
-        nodes = np.concatenate(xs)
-        sw = np.concatenate(ns.grid.sqrt_weights)
-        wt = np.concatenate([self.sys.weight(l, x) for l, x in enumerate(xs)])
+        nodes = ns.nodes
+        wt = np.concatenate([self.sys.weight(l, x)
+                             for l, x in enumerate(ns.grid.nodes)])
         gam, _, A = self._at_nodes
         GF = np.einsum("qab,qb->qa", gam, self.f_vector(nodes))
         scale = 2j * np.pi * self.lam
@@ -347,7 +332,7 @@ class GammaSolution:
         out = (GF @ A.T - np.sum(A * GF, axis=1)[:, None]) / (scale * dz)
         slopes = self._node_slopes(np.arange(nodes.size))
         np.fill_diagonal(out, -np.sum(slopes * GF, axis=1) / scale)
-        return out * sw[None, :] / wt[:, None]
+        return out * ns.sqrt_weights[None, :] / wt[:, None]
 
     def apply_resolvent(self, nu: PiecewiseFunction, nmodes=None):
         """hat R nu as a sqrt-vanishing PiecewiseFunction, chopped per interval.
@@ -367,9 +352,9 @@ class GammaSolution:
         sys, n = self.sys, self.sys.n
         if nmodes is None:
             nmodes = max(ns.grid.sizes) + 33
-        x = np.concatenate(ns.grid.nodes)
+        x = ns.nodes
         _, _, Ax = self._at_nodes
-        weights = np.concatenate(ns.grid.sqrt_weights) * self._nodal(nu)
+        weights = ns.sqrt_weights * ns.nodal(nu)
         cols = np.column_stack([weights[:, None] * Ax, weights])  # [wA, w]
         z = np.concatenate([sys.from_unit(m, cheb.cheb2_nodes(nmodes))
                             for m in range(n)])
@@ -455,7 +440,7 @@ def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolu
     if not theta.is_symmetric:
         raise SymmetryError("the two-interval specialization needs theta = theta^t")
     ns = gamma.nystrom
-    wnu = ns.split(np.concatenate(ns.grid.sqrt_weights) * gamma._nodal(nu))
+    wnu = ns.split(ns.sqrt_weights * ns.nodal(nu))
     gams = ns.split(gamma._at_nodes[0])
     dets = [G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0] for G in gams]
     g = [ns.split(row) for row in ns.g_nodes]  # g[a][k]: g_a on I_k

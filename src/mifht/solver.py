@@ -18,7 +18,6 @@ smooth parts and converges geometrically for analytic data.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,8 +191,10 @@ class NystromSystem:
     acts on the stacked node values of p.  ``kernel`` is the K-part alone
     (zero diagonal blocks), read-only and the only N x N array held;
     ``apply`` gives (Id - K/lambda) x from it, and ``matrix`` builds
-    Id - K/lambda on each access.  ``g_nodes`` holds g at the stacked
-    nodes, so block (j, k) of ``kernel`` is g_j(x) sw(x) / (pi (x - z)).
+    Id - K/lambda on each access.  ``nodes``, ``sqrt_weights`` and
+    ``g_nodes`` hold the grid and g at the stacked nodes, so block (j, k) of
+    ``kernel`` is g_j(x) sw(x) / (pi (x - z)).  ``lam`` is real unless its
+    imaginary part is nonzero, so a real K keeps a real Id - K/lambda.
     ``basis`` Q, ``rows`` Q^T K and ``sketch_err`` ||K - Q Q^T K||_F are
     the lambda-free sketch of ``kernel``, made once by ``_assemble``.
     """
@@ -204,6 +205,8 @@ class NystromSystem:
     lam: complex
     kernel: np.ndarray = field(repr=False)
     offsets: np.ndarray
+    nodes: np.ndarray = field(repr=False)
+    sqrt_weights: np.ndarray = field(repr=False)
     g_nodes: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
@@ -221,16 +224,23 @@ class NystromSystem:
     @property
     def matrix(self):
         """Id - K/lambda as a fresh array, for tests and diagnostics."""
-        lam = _operator_lam(self.lam)
-        return _identity_minus(self.kernel, lam, np.result_type(self.kernel, lam))
+        return _identity_minus(self.kernel, self.lam,
+                               np.result_type(self.kernel, self.lam))
 
     def apply(self, x):
         """(Id - K/lambda) x for a vector or a block of columns x."""
-        return x - _real_matmul(self.kernel, x) / _operator_lam(self.lam)
+        return x - _real_matmul(self.kernel, x) / self.lam
 
     def split(self, flat):
         return [flat[self.offsets[j]: self.offsets[j + 1]]
                 for j in range(self.sys.n)]
+
+    def nodal(self, pf: PiecewiseFunction):
+        """Smooth parts of a sqrt-vanishing function at the stacked nodes."""
+        if not pf.weighted:
+            raise ValueError("nodal values are defined for weighted functions only")
+        return np.concatenate([cheb.chebU_nodal(pf.coeffs[k], m)
+                               for k, m in enumerate(self.grid.sizes)])
 
     def kernel_apply_smooth(self, node_values, j, targets):
         """Smooth part of (K v)(z) for z = targets in I_j, v given at nodes.
@@ -246,19 +256,10 @@ class NystromSystem:
             if k == j:
                 continue
             own = slice(self.offsets[k], self.offsets[k + 1])
-            x = self.grid.nodes[k]
-            scale = self.g_nodes[j, own] * self.grid.sqrt_weights[k] / np.pi
-            cauchy = 1.0 / (x[None, :] - z[:, None])
+            scale = self.g_nodes[j, own] * self.sqrt_weights[own] / np.pi
+            cauchy = 1.0 / (self.nodes[own][None, :] - z[:, None])
             acc += _real_matmul(cauchy, (scale * vals[own].T).T)
         return acc
-
-
-def _operator_lam(lam):
-    """lambda as the operator divides by it: real unless its imaginary part
-    is nonzero, so a real K keeps a real Id - K/lambda."""
-    if np.iscomplexobj(np.asarray(lam)) and np.imag(lam) != 0:
-        return lam
-    return float(np.real(lam))
 
 
 def _identity_minus(kernel, lam, dtype):
@@ -303,9 +304,10 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
 
     K and its sketch do not depend on lambda, so the last operator is cached:
     a repeat of (sys, theta, grid sizes) shares its read-only ``kernel``,
-    grid, ``g_nodes`` and sketch under its own lambda.  A new operator evicts
-    the old one before it is built.  Zero diagonal blocks and real entries
-    are structural; both are asserted by the unit tests rather than here.
+    grid, ``g_nodes`` and sketch under its own lambda, made real unless its
+    imaginary part is nonzero.  A new operator evicts the old one before it
+    is built.  Zero diagonal blocks and real entries are structural; both
+    are asserted by the unit tests rather than here.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -317,6 +319,7 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     if key not in _OPERATOR_CACHE:
         _OPERATOR_CACHE.clear()
         _OPERATOR_CACHE[key] = _assemble(sys, theta, size)
+    lam = lam if np.imag(lam) != 0 else float(np.real(lam))
     return replace(_OPERATOR_CACHE[key], sys=sys, theta=theta, lam=lam)
 
 
@@ -324,8 +327,10 @@ def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:
     grid = chebyshev2_grid(sys, size)
     offsets = np.concatenate([[0], np.cumsum(grid.sizes)])
 
+    nodes = np.concatenate(grid.nodes)
+    sqrt_weights = np.concatenate(grid.sqrt_weights)
     g_nodes = _stacked_g(sys, theta, grid)
-    gsw = g_nodes * np.concatenate(grid.sqrt_weights) / np.pi
+    gsw = g_nodes * sqrt_weights / np.pi
     kern = np.zeros((offsets[-1], offsets[-1]))
     for j in range(sys.n):
         zj = grid.nodes[j]
@@ -341,7 +346,8 @@ def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:
     kern.flags.writeable = False
     q, qk, err = _range_finder(kern, SKETCH_TOL * max(1.0, np.linalg.norm(kern)))
     return NystromSystem(sys=sys, theta=theta, grid=grid, lam=1.0,
-                         kernel=kern, offsets=offsets, g_nodes=g_nodes,
+                         kernel=kern, offsets=offsets, nodes=nodes,
+                         sqrt_weights=sqrt_weights, g_nodes=g_nodes,
                          basis=q, rows=qk, sketch_err=err)
 
 
@@ -354,8 +360,7 @@ def _solve_refined(ns: NystromSystem, b):
     copied, and ``trans=1`` then solves with the matrix itself.  The
     refinement residual comes from K, which the factorization leaves alone.
     """
-    lam = _operator_lam(ns.lam)
-    A = _identity_minus(ns.kernel, lam, np.result_type(ns.kernel, lam, b))
+    A = _identity_minus(ns.kernel, ns.lam, np.result_type(ns.kernel, ns.lam, b))
     lu = scipy.linalg.lu_factor(A.T, overwrite_a=True)
     x = scipy.linalg.lu_solve(lu, b, trans=1)
     x = x + scipy.linalg.lu_solve(lu, b - ns.apply(x), trans=1)
@@ -414,9 +419,8 @@ def extreme_singular_values(ns: NystromSystem):
     bracket 1; when it does, B = I - W Q.  By Weyl's inequality each
     extreme differs from the dense value by at most err.
     """
-    lam = _operator_lam(ns.lam)
     Q = ns.basis
-    W = ns.rows / lam
+    W = ns.rows / ns.lam
     WQ = W @ Q
     k = Q.shape[1]
     if k == ns.size:
@@ -427,7 +431,7 @@ def extreme_singular_values(ns: NystromSystem):
         B[:k, :k] -= WQ
         B[:k, k:] -= R.conj().T
     svals = np.linalg.svd(B, compute_uv=False)
-    return float(svals[-1]), float(svals[0]), ns.sketch_err / abs(lam)
+    return float(svals[-1]), float(svals[0]), ns.sketch_err / abs(ns.lam)
 
 
 def _checked_solve(ns: NystromSystem, b):
@@ -466,7 +470,7 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     residual of the recovered solution.  Id - K is invertible by theorem for
     SPD theta and for the all-ones theta (classification ``uniform``); for
     the other classifications with a nonzero off-diagonal part its
-    invertibility is certified numerically only, and a warning records that.
+    invertibility is certified numerically only, and ``warning`` records that.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -475,8 +479,7 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     nu = compute_nu(psi, c, theta)
     ns = assemble_K(sys, theta, size=size, lam=1.0)
 
-    rhs = np.concatenate([cheb.chebU_nodal(nu.coeffs[j], m)
-                          for j, m in enumerate(ns.grid.sizes)])
+    rhs = ns.nodal(nu)
     real_data = psi.field == "real"
     if real_data:
         rhs = rhs.real
@@ -491,7 +494,6 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     if theta.classification not in (SPD, UNIFORM) and np.any(theta.off):
         warn = ("theta is not symmetric positive definite: invertibility of "
                 "Id - K is certified numerically only (sigma_min = %.3e)" % sigma_min)
-        warnings.warn(warn, stacklevel=2)
 
     if nmodes is None:
         nmodes = max(a.shape[0] for a in nu.coeffs)

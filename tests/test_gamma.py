@@ -398,7 +398,7 @@ def _difference_form_resolvent(gam, nu, nmodes):
     ns, sys = gam.nystrom, gam.sys
     x = np.concatenate(ns.grid.nodes)
     _, _, Ax = gam._at_nodes
-    w = np.concatenate(ns.grid.sqrt_weights) * gam._nodal(nu)
+    w = np.concatenate(ns.grid.sqrt_weights) * ns.nodal(nu)
     out, hits = [], 0
     for m in range(sys.n):
         z = sys.from_unit(m, cheb.cheb2_nodes(nmodes))
@@ -446,7 +446,7 @@ def test_apply_resolvent_inverts_the_nystrom_operator_at_complex_lambda(sys2, th
     nu = rt2[3]
     got = gam.apply_resolvent(nu, nmodes=40)
     vals = np.concatenate([cheb.chebU_nodal(c, 40) for c in got.coeffs])
-    expect = gam.resolvent_matrix() @ gam._nodal(nu)
+    expect = gam.resolvent_matrix() @ gam.nystrom.nodal(nu)
     assert np.max(np.abs(vals - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -461,7 +461,7 @@ def test_chopped_gamma_matches_the_full_density(request, monkeypatch, n, size, l
     z = np.concatenate([x + 0.3j, 10.0 * sys.scale * np.exp(1j * np.linspace(0.1, 3.0, 5))])
     for D, F in zip(gam.density, full.density):
         K = D.shape[2]
-        assert K < full.sampled_modes == F.shape[2]
+        assert K < F.shape[2] == size
         np.testing.assert_array_equal(D, F[:, :, :K])
         assert np.max(np.abs(F[:, :, K:])) <= eps * np.max(np.abs(F))
     for pts, side in ((x, ABOVE), (x, BELOW), (z, None)):
@@ -635,6 +635,20 @@ def test_jump_equals_density(gamma2, sys2):
             for j in range(2)])
         expect = -np.outer(F, gamma2.g_vector(x)) / gamma2.lam
         np.testing.assert_allclose(jump, expect, atol=1e-8)
+
+
+def test_gamma_near_a_small_gap_takes_its_density_from_every_node():
+    # at gap 0.01 the densities need more than 128 U modes; built from F g^t
+    # at all 256 nodes of each interval they resolve, and Gamma_+ = Gamma_- V
+    # and det Gamma_+ = 1 hold to rounding
+    sys = make_interval_system([(0.0, 1.0), (1.01, 2.01), (2.02, 3.02)])
+    gam = build_gamma(sys, ThetaMatrix(np.full((3, 3), 0.5) + 0.5 * np.eye(3)),
+                      size=256)
+    assert gam.density_resolution()["gamma_density_capped"] == [False] * 3
+    pts = np.concatenate([sys.from_unit(j, np.linspace(-0.9, 0.9, 20))
+                          for j in range(sys.n)])
+    assert gam.jump_residual(pts) <= 1e-14
+    assert np.max(np.abs(gam.det(pts, side=ABOVE) - 1.0)) <= 1e-14
 
 
 def test_verify_jump_vanishes_for_large_lambda(sys2, theta2):

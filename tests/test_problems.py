@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mifht.gamma
+import mifht.problems
 import mifht.uniform
 from mifht import chebyshev as cheb
 from mifht import (
@@ -13,6 +14,7 @@ from mifht import (
     NonFiniteError,
     RangeViolationError,
     SchemaError,
+    SymmetryError,
     ThetaMatrix,
 )
 from mifht.chebyshev import (
@@ -314,11 +316,11 @@ def test_cold_spd_invert_peak_memory_stays_under_28_n_squared_bytes():
 def test_resolution_diagnostics_report_the_chopped_series():
     bundle = run_command(parse_problem(N3_SPD.replace("nystrom = 48", "nystrom = 256")))
     res = json.loads(bundle.to_json())["diagnostics"]["resolution"]
-    # n3 densities resolve near 25 of the 128 sampled modes
+    # n3 densities resolve near 25 of the 256 node values per interval
     assert all(16 < m < 64 for m in res["gamma_density_modes"])
     assert res["gamma_density_capped"] == [False] * 3
     assert all(m <= 64 for m in res["resolvent_modes"])
-    # a gap of 0.01 is not resolved within the 64 sampled modes: kept whole
+    # a gap of 0.01 is not resolved by 64 nodes per interval: kept whole
     near = ("intervals = (0,1) (1.01,2.01) (2.02,3.02)\nnystrom = 64\n"
             "theta = [[1,0.5,0.5],[0.5,1,0.5],[0.5,0.5,1]]\n")
     for command in ("range-check", "gamma-check"):
@@ -344,11 +346,14 @@ def test_invert_chops_phi_and_reports_its_modes(monkeypatch):
                         for j in range(sys.n)])
     ref = full(x)
     assert np.max(np.abs(chopped(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # every invert reports the kept lengths, SPD or not
-    with pytest.warns(UserWarning, match="not symmetric positive definite"):
+    # every invert reports the kept lengths, SPD or not; a non-SPD theta is
+    # reported in the diagnostics, not warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         other = run_command(parse_problem(N3_SPD.replace(
             "[[1,0.5,0.5],[0.5,1,0.5],[0.5,0.5,1]]",
             "[[1,0.5,0.1],[0.2,1,0.5],[0.5,0.3,1]]")))
+    assert "not symmetric positive definite" in other.diagnostics["warning"]
     assert set(other.diagnostics["resolution"]) == {"phi_modes"}
 
 
@@ -560,6 +565,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     out_of_range.write_text("command = uniform-invert\nintervals = (-1,1)\n"
                             "theta = uniform\nrhs = const 1\n")
     assert cli_main(["uniform-invert", "--problem", str(out_of_range)]) == 5
+
+
+def test_cli_exits_1_on_an_unmapped_package_error(tmp_path, capsys, monkeypatch):
+    def raise_symmetry(spec):
+        raise SymmetryError("needs theta = theta^t")
+
+    monkeypatch.setattr(mifht.problems, "run_command", raise_symmetry)
+    prob = tmp_path / "good.txt"
+    prob.write_text(MINIMAL)
+    assert cli_main(["invert", "--problem", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert "error (SymmetryError): needs theta = theta^t" in err
+    assert "Traceback" not in err
 
 
 UNIFORM1 = """
