@@ -34,15 +34,15 @@ psi = forward_map(theta, phi0)
 c = compute_c(psi)
 nu = compute_nu(psi, c, theta)
 
-pred_sym = range_condition_N2(theta, nu, gamma)
-pred_gen = range_condition_J12(theta, nu, gamma)
+pred_sym = range_condition_N2(nu, gamma)
+pred_gen = range_condition_J12(nu, gamma)
 print("actual c          :", np.round(c, 10))
 print("predicted (sym)   :", np.round(pred_sym.real, 10))
 print("predicted (general):", np.round(pred_gen.real, 10))
 print(f"defects: {np.max(np.abs(pred_sym - c)):.2e} / "
       f"{np.max(np.abs(pred_gen - c)):.2e}  -> psi is in range")
 
-l1 = range_check_L1_variant(psi, c, nu, gamma, theta)
+l1 = range_check_L1_variant(psi, c, nu, gamma)
 print(f"integrable-data residual: {np.max(np.abs(l1['integrable'])):.2e}")
 
 # push the data off the range: add a constant to one component only of a
@@ -50,7 +50,7 @@ print(f"integrable-data residual: {np.max(np.abs(l1['integrable'])):.2e}")
 bad = psi.shift_piece_constants([0.25, 0.0])
 c_bad = compute_c(bad)
 nu_bad = compute_nu(bad, c_bad, theta)
-pred_bad = range_condition_N2(theta, nu_bad, gamma)
+pred_bad = range_condition_N2(nu_bad, gamma)
 print(f"\nshifted data: prediction defect "
       f"{np.max(np.abs(pred_bad.real - c_bad)):.3f}  -> not in range")
 
@@ -60,7 +60,7 @@ psi_ns = forward_map(th_ns, phi0)
 c_ns = compute_c(psi_ns)
 nu_ns = compute_nu(psi_ns, c_ns, th_ns)
 gamma_ns = build_gamma(sys2, th_ns, lam=1.0, size=96)
-pred_ns = range_condition_J12(th_ns, nu_ns, gamma_ns)
+pred_ns = range_condition_J12(nu_ns, gamma_ns)
 print(f"\nnon-symmetric theta: prediction defect "
       f"{np.max(np.abs(pred_ns.real - c_ns)):.2e}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import (
     ConvergenceError,
@@ -57,7 +58,11 @@ def main(argv=None):
     from .problems import parse_lambda, parse_problem, run_command, write_bundle
 
     try:
-        spec = parse_problem(args.problem)
+        try:
+            text = Path(args.problem).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"cannot read problem file {args.problem!r}: {exc}") from None
+        spec = parse_problem(text)
         spec.command = args.command
         for key in ("modes", "nystrom", "tmax", "tol"):
             val = getattr(args, key)

@@ -25,6 +25,7 @@ non-singular at z = x because of the orthogonality of f and g.
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .errors import (
 from .intervals import ABOVE, BELOW, IntervalSystem, unit_radical
 from .solver import (
     NystromSystem,
-    as_theta,
     assemble_K,
     kernel_g,
     _checked_solve,
@@ -304,15 +304,6 @@ class GammaSolution:
         gf = self.gamma_f(z)
         return np.dot(ax - az, gf) / (scale * (z - x))
 
-    def _node_slopes(self, index):
-        """A' at the stacked Nystrom nodes picked by ``index``; (len(index), n).
-
-        Gamma_+^{-1} and A come from the node cache.
-        """
-        ns = self.nystrom
-        _, ginv, A = self._at_nodes
-        return self._slope(ns.nodes[index], ns.g_nodes[:, index], ginv[index], A[index])
-
     def resolvent_matrix(self):
         """Dense resolvent sampled like the Nystrom kernel: entries R(z,x) sw.
 
@@ -323,18 +314,18 @@ class GammaSolution:
         nodes = ns.nodes
         wt = np.concatenate([self.sys.weight(l, x)
                              for l, x in enumerate(ns.grid.nodes)])
-        gam, _, A = self._at_nodes
+        gam, ginv, A = self._at_nodes
         GF = np.einsum("qab,qb->qa", gam, self.f_vector(nodes))
         scale = 2j * np.pi * self.lam
         dz = nodes[:, None] - nodes[None, :]
         np.fill_diagonal(dz, 1.0)
         # row i: (A(x_q) - A(z_i)) . (Gamma f)(z_i) / (2 pi i lambda (z_i - x_q))
         out = (GF @ A.T - np.sum(A * GF, axis=1)[:, None]) / (scale * dz)
-        slopes = self._node_slopes(np.arange(nodes.size))
+        slopes = self._slope(nodes, ns.g_nodes, ginv, A)
         np.fill_diagonal(out, -np.sum(slopes * GF, axis=1) / scale)
         return out * ns.sqrt_weights[None, :] / wt[:, None]
 
-    def apply_resolvent(self, nu: PiecewiseFunction, nmodes=None):
+    def apply_resolvent(self, nu: PiecewiseFunction):
         """hat R nu as a sqrt-vanishing PiecewiseFunction, chopped per interval.
 
         Smooth parts at U nodes z of I_m:
@@ -344,14 +335,16 @@ class GammaSolution:
         and the node columns wA = sw p A, w = sw p the sum splits into
         sum_a Gamma_am(z) (C wA)_a - A(z) Gamma_m(z) (C w): one real Cauchy
         product per target interval.  Its rounding is that of the
-        difference A(x_q) - A(z) it replaces, eps / |z - x_q|.  A target on
-        a node gets C = 0 there and takes the limit -A'(z) Gamma_m(z) of
-        its term instead.
+        difference A(x_q) - A(z) it replaces, eps / |z - x_q|.  The U nodes
+        cos(pi q / (N + 1)) of two sizes share a point only when their N + 1
+        share a factor, so the target count, the first one from max(M_l) + 33
+        coprime in that sense to every M_l, never puts a target on a node.
         """
         ns = self.nystrom
         sys, n = self.sys, self.sys.n
-        if nmodes is None:
-            nmodes = max(ns.grid.sizes) + 33
+        nmodes = max(ns.grid.sizes) + 33
+        while any(gcd(nmodes + 1, size + 1) > 1 for size in ns.grid.sizes):
+            nmodes += 1
         x = ns.nodes
         _, _, Ax = self._at_nodes
         weights = ns.sqrt_weights * ns.nodal(nu)
@@ -362,25 +355,14 @@ class GammaSolution:
         owner = np.repeat(np.arange(n), nmodes)
         col = gz[np.arange(z.size), :, owner]  # Gamma_m(z) on I_m, (P, n)
         Acol = np.sum(Az * col, axis=1)
-        # targets on a node: z_p == x_q up to the rounding of the two cosine
-        # grids, which leaves 1-ulp gaps (both arrays ascending)
-        hi = np.minimum(np.searchsorted(x, z), x.size - 1)
-        lo = np.maximum(hi - 1, 0)
-        q = np.where(np.abs(x[lo] - z) < np.abs(x[hi] - z), lo, hi)
-        p = np.nonzero(np.abs(x[q] - z) <= 8 * np.finfo(float).eps * sys.scale)[0]
-        q = q[p]
         acc = np.empty(z.size, dtype=complex)
         for m in range(n):
             rows = slice(m * nmodes, (m + 1) * nmodes)
             # one target interval at a time keeps the Cauchy matrix small
             cauchy = np.subtract.outer(z[rows], x)
-            on = owner[p] == m
-            cauchy[p[on] - m * nmodes, q[on]] = np.inf  # C = 0: limit term below
             np.divide(1.0, cauchy, out=cauchy)
             prod = _real_matmul(cauchy, cols)
             acc[rows] = np.sum(col[rows] * prod[:, :n], axis=1) - Acol[rows] * prod[:, n]
-        if p.size:
-            acc[p] -= weights[q] * np.sum(self._node_slopes(q) * col[p], axis=1)
         smooth = np.split(-acc / (np.pi * self.lam), n)
         if nu.field == "real" and not np.iscomplexobj(np.asarray(self.lam)):
             smooth = [np.real(v) for v in smooth]
@@ -405,7 +387,7 @@ def invert_via_resolvent(nu: PiecewiseFunction, gamma: GammaSolution):
     return nu + gamma.apply_resolvent(nu)
 
 
-def range_condition_N2(theta, nu: PiecewiseFunction, gamma: GammaSolution):
+def range_condition_N2(nu: PiecewiseFunction, gamma: GammaSolution):
     """Predicted c from the symmetric-theta second range condition.
 
     c_m = (theta_mm / pi) int_I nu(x) (g^t Gamma^{-1})_m (x) dx, which on
@@ -414,17 +396,18 @@ def range_condition_N2(theta, nu: PiecewiseFunction, gamma: GammaSolution):
     including I_m itself: the derivation keeps the full nu g^t Gamma^{-1}
     moment, and dropping the own-interval piece leaves an O(1e-4) defect on
     generic data (verified against the resolvent route, which needs no such
-    identity).  The moments use the Nystrom grid and its cached A.
+    identity).  The moments use the Nystrom grid and its cached A; theta is
+    the one Gamma was built for.
     """
-    theta = as_theta(theta)
-    if not np.allclose(theta.entries, theta.entries.T, rtol=1e-13, atol=0.0):
+    theta = gamma.theta
+    if not theta.is_symmetric:
         raise SymmetryError("second range condition in this form needs theta = theta^t")
     _, _, A = gamma._at_nodes
     moments = gamma._node_moments(nu, A)
     return (np.diag(theta.entries) / np.pi) * moments
 
 
-def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolution):
+def range_condition_two_intervals(nu: PiecewiseFunction, gamma: GammaSolution):
     """The two-interval specialization with Gamma^{-1} written as cofactors.
 
     c_1 = (theta_21/pi) int_{I_2} Gamma_22 nu_2 / (det R_1) dx
@@ -434,7 +417,7 @@ def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolu
     performs the same arithmetic as the general one).  Like N2 it needs
     theta = theta^t; the 1/R factors are read from g at the Nystrom nodes.
     """
-    theta = as_theta(theta)
+    theta = gamma.theta
     if nu.sys.n != 2:
         raise ValueError("the two-interval specialization needs n == 2")
     if not theta.is_symmetric:
@@ -454,21 +437,20 @@ def range_condition_two_intervals(theta, nu: PiecewiseFunction, gamma: GammaSolu
     return out
 
 
-def range_condition_J12(theta, nu: PiecewiseFunction, gamma: GammaSolution):
+def range_condition_J12(nu: PiecewiseFunction, gamma: GammaSolution):
     """Predicted c for general invertible-diagonal theta: c = J_1 + J_2.
 
     J_1 is the direct moment of nu; J_2 carries the resolvent correction.
     Together they equal the second-condition moment of nu + hat R nu.
     """
-    theta = as_theta(theta)
     corr = gamma.apply_resolvent(nu)
-    j1 = _range2_moments(theta, nu)
-    j2 = _range2_moments(theta, corr)
+    j1 = _range2_moments(gamma.theta, nu)
+    j2 = _range2_moments(gamma.theta, corr)
     return j1 + j2
 
 
 def range_check_L1_variant(psi: PiecewiseFunction, c, nu: PiecewiseFunction,
-                           gamma: GammaSolution, theta):
+                           gamma: GammaSolution):
     """Residuals of the integrable-data range identity, per component.
 
     For R^{-1} psi in L^1 the second condition collapses to
@@ -479,10 +461,10 @@ def range_check_L1_variant(psi: PiecewiseFunction, c, nu: PiecewiseFunction,
 
     and for c[psi] = 0 to the vanishing of the plain Gamma-weighted moments
     of H_k^{-1}[psi_k].  ``c`` and ``nu`` are ``compute_c(psi)`` and
-    ``compute_nu(psi, c, theta)``.  Returns dict with 'integrable' and (when
-    applicable) 'zero_shift' residual vectors.
+    ``compute_nu(psi, c, gamma.theta)``.  Returns dict with 'integrable' and
+    (when applicable) 'zero_shift' residual vectors.
     """
-    theta = as_theta(theta)
+    theta = gamma.theta
     # on I_k the bracket is i w_k chain_m with chain_m = sum_{a != k}
     # theta_ka Gamma^{-1}_am / (theta_kk theta_aa R_a), and H_k[psi_k/R_{k+}]
     # = i theta_kk nu_k; their product is -w_k nu_k n_m with n_m = theta_kk

@@ -105,13 +105,8 @@ class ProblemSpec:
         return ThetaMatrix(t)
 
 
-def parse_problem(source) -> ProblemSpec:
-    """Parse a problem file (path or literal text) into a validated spec."""
-    path = Path(str(source))
-    if "\n" not in str(source) and path.is_file():
-        text = path.read_text()
-    else:
-        text = str(source)
+def parse_problem(text: str) -> ProblemSpec:
+    """Parse the text of a problem file into a validated spec."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -446,7 +441,7 @@ def _cmd_range_check(spec, sys, theta):
     c = compute_c(psi)
     nu = compute_nu(psi, c, theta)
     gam = build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
-    cJ = range_condition_J12(theta, nu, gam)
+    cJ = range_condition_J12(nu, gam)
     diag = {
         "c": np.real(c).tolist(),
         "kappa": _kappa_list(psi),
@@ -454,11 +449,11 @@ def _cmd_range_check(spec, sys, theta):
         "general_defect": _check(np.max(np.abs(cJ - c)), tol * (1 + np.max(np.abs(c)))),
     }
     if theta.is_symmetric:
-        cN = range_condition_N2(theta, nu, gam)
+        cN = range_condition_N2(nu, gam)
         diag["predicted_c_symmetric"] = np.real(cN).tolist()
         diag["symmetric_defect"] = _check(np.max(np.abs(cN - c)),
                                    tol * (1 + np.max(np.abs(c))))
-        l1 = range_check_L1_variant(psi, c, nu, gam, theta)
+        l1 = range_check_L1_variant(psi, c, nu, gam)
         diag["integrable_residual"] = _check(np.max(np.abs(l1["integrable"])), tol)
         if l1["zero_shift"] is not None:
             diag["zero_shift_residual"] = _check(

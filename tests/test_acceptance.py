@@ -232,8 +232,8 @@ def test_criterion_6_range_conditions(sys2, theta2, spd_cases):
     worst_n2 = worst_j12 = 0.0
     for name, sys, th, phi0, psi, res, gam in spd_cases:
         nu = compute_nu(psi, res.c, th)
-        pred_n2 = range_condition_N2(th, nu, gam)
-        pred_j12 = range_condition_J12(th, nu, gam)
+        pred_n2 = range_condition_N2(nu, gam)
+        pred_j12 = range_condition_J12(nu, gam)
         worst_n2 = max(worst_n2, float(np.max(np.abs(pred_n2 - res.c))))
         worst_j12 = max(worst_j12, float(np.max(np.abs(pred_j12 - res.c))))
 
@@ -244,26 +244,25 @@ def test_criterion_6_range_conditions(sys2, theta2, spd_cases):
     c = compute_c(psi)
     nu = compute_nu(psi, c, th_ns)
     gam_ns = build_gamma(sys2, th_ns, lam=1.0, size=96)
-    pred = range_condition_J12(th_ns, nu, gam_ns)
+    pred = range_condition_J12(nu, gam_ns)
     worst_j12 = max(worst_j12, float(np.max(np.abs(pred - c))))
 
     # cn=2 specialization against the general N2 on the n=2 fixture
     name, sys, th, phi0, psi, res, gam = spd_cases[0]
     nu2 = compute_nu(psi, res.c, th)
-    pair = range_condition_two_intervals(th, nu2, gam)
-    n2 = range_condition_N2(th, nu2, gam)
+    pair = range_condition_two_intervals(nu2, gam)
+    n2 = range_condition_N2(nu2, gam)
     pair_diff = float(np.max(np.abs(pair - n2)))
 
     # integrable-data identity on the generic n=2 fixture; the zero-shift
     # variant on a fixture whose forward image has c = 0
     _, _, _, _, psi_n2, res_n2, gam_n2 = spd_cases[0]
-    l1 = range_check_L1_variant(psi_n2, res_n2.c, res_n2.nu, gam_n2, theta2)
+    l1 = range_check_L1_variant(psi_n2, res_n2.c, res_n2.nu, gam_n2)
     resid_int = float(np.max(np.abs(l1["integrable"])))
     phi0z = zero_c_combination(sys2, theta2, seeds=(61, 62, 63))
     psi_z = forward_map(theta2, phi0z)
     c_z = compute_c(psi_z)
-    lz = range_check_L1_variant(psi_z, c_z, compute_nu(psi_z, c_z, theta2), gam_n2,
-                                theta2)
+    lz = range_check_L1_variant(psi_z, c_z, compute_nu(psi_z, c_z, theta2), gam_n2)
     resid_zero = float(np.max(np.abs(lz["zero_shift"])))
 
     ok = [

@@ -378,46 +378,38 @@ def test_gtinv_derivative_matches_interpolant_derivative(gamma2, sys2, k, lo, hi
     assert np.max(np.abs(got - expect)) <= 1e-11 * np.max(np.abs(expect))
 
 
-def test_resolvent_targets_on_the_nodes_take_the_exact_limit(sys2, theta2, rt2):
-    # nmodes = the grid size puts every target on a node; the interpolated
-    # result must agree with an off-node target set
-    gam = build_gamma(sys2, theta2, size=40)
-    nu = rt2[3]
-    on = gam.apply_resolvent(nu, nmodes=40)
-    off = gam.apply_resolvent(nu, nmodes=57)
-    x = interior_points(sys2, 15)
-    assert np.max(np.abs(on(x) - off(x))) <= 1e-10 * np.max(np.abs(off(x)))
-
-
 def _difference_form_resolvent(gam, nu, nmodes):
     """hat R nu at the U nodes of every interval, one target at a time.
 
     -(1/(pi lambda)) sum_q sw p(x_q) (A(x_q) - A(z)) Gamma_m(z) / (z - x_q);
     a node within 8 eps max|endpoint| of z takes -A'(z) Gamma_m(z) instead.
+    Also returns the number of such node hits on each interval.
     """
     ns, sys = gam.nystrom, gam.sys
     x = np.concatenate(ns.grid.nodes)
-    _, _, Ax = gam._at_nodes
+    _, ginv, Ax = gam._at_nodes
     w = np.concatenate(ns.grid.sqrt_weights) * ns.nodal(nu)
-    out, hits = [], 0
+    out, hits = [], []
     for m in range(sys.n):
         z = sys.from_unit(m, cheb.cheb2_nodes(nmodes))
         G = gam.eval(z, side=ABOVE)
         Az = np.einsum("qa,qam->qm", gam.g_vector(z), np.linalg.inv(G))
         vals = []
+        hits.append(0)
         for zp, col, az in zip(z, G[:, :, m], Az):
             on = np.abs(zp - x) <= 8 * np.finfo(float).eps * sys.scale
             terms = np.empty(x.size, dtype=complex)
             terms[~on] = (Ax[~on] - az) @ col / (zp - x[~on])
-            terms[on] = -gam._node_slopes(np.nonzero(on)[0]) @ col
-            hits += int(on.sum())
+            terms[on] = -gam._slope(x[on], ns.g_nodes[:, on], ginv[on], Ax[on]) @ col
+            hits[-1] += int(on.sum())
             vals.append(-(w @ terms) / (np.pi * gam.lam))
         out.append(np.array(vals))
     return out, hits
 
 
 RESOLVENT_CASES = {"n3-65": (3, 65, 1.0), "n3-74": (3, 74, 1.0),
-                   "n3-256": (3, 256, 1.0), "n2-complex-lambda": (2, 64, 2.0 + 1.0j)}
+                   "n3-256": (3, 256, 1.0), "n2-complex-lambda": (2, 64, 2.0 + 1.0j),
+                   "n3-unequal": (3, [40, 65, 74], 1.0)}
 
 
 @pytest.mark.parametrize("case", RESOLVENT_CASES)
@@ -428,10 +420,13 @@ def test_apply_resolvent_matches_difference_form_reference(request, case):
     nu = compute_nu(psi, compute_c(psi), theta)
     gam = build_gamma(sys, theta, lam=lam, size=size)
     got = gam.apply_resolvent(nu)
-    nmodes = size + 33
+    sizes = gam.nystrom.grid.sizes
+    nmodes = max(sizes) + 33
     ref, hits = _difference_form_resolvent(gam, nu, nmodes)
-    # nystrom 65 and 74 put targets on nodes, exactly or 1 ulp apart
-    assert (hits > 0) == (np.gcd(size + 1, 33) > 1)
+    # the reference keeps max(M) + 33 targets, which meet the nodes of I_m,
+    # exactly or 1 ulp apart, when gcd(nmodes + 1, M_m + 1) > 1; the target
+    # count of apply_resolvent steps past such sizes
+    assert [h > 0 for h in hits] == [np.gcd(nmodes + 1, M + 1) > 1 for M in sizes]
     scale = max(np.max(np.abs(r)) for r in ref)
     for m in range(sys.n):
         assert got.coeffs[m].size < nmodes
@@ -440,11 +435,11 @@ def test_apply_resolvent_matches_difference_form_reference(request, case):
 
 
 def test_apply_resolvent_inverts_the_nystrom_operator_at_complex_lambda(sys2, theta2, rt2):
-    # targets on the nodes: hat R nu is the resolvent matrix applied to the
+    # read at the nodes, hat R nu is the resolvent matrix applied to the
     # node values of nu, whose rows carry the 1/lambda of R(z, x; lambda)
     gam = build_gamma(sys2, theta2, lam=2.0 + 1.0j, size=40)
     nu = rt2[3]
-    got = gam.apply_resolvent(nu, nmodes=40)
+    got = gam.apply_resolvent(nu)
     vals = np.concatenate([cheb.chebU_nodal(c, 40) for c in got.coeffs])
     expect = gam.resolvent_matrix() @ gam.nystrom.nodal(nu)
     assert np.max(np.abs(vals - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -541,15 +536,16 @@ def test_two_path_equivalence(sys2, theta2, gamma2, rt2):
 # -- range conditions --------------------------------------------------------------
 
 
-def test_N2_requires_symmetry(sys2, rt2, gamma2):
+def test_N2_requires_symmetry(sys2, rt2):
     _, _, _, nu = rt2
+    gam = build_gamma(sys2, ThetaMatrix([[1.0, 0.4], [0.1, 1.0]]), size=24)
     with pytest.raises(SymmetryError):
-        range_condition_N2(ThetaMatrix([[1.0, 0.4], [0.1, 1.0]]), nu, gamma2)
+        range_condition_N2(nu, gam)
 
 
 def test_N2_predicts_c(sys2, theta2, gamma2, rt2):
     _, psi, c, nu = rt2
-    pred = range_condition_N2(theta2, nu, gamma2)
+    pred = range_condition_N2(nu, gamma2)
     assert np.max(np.abs(pred.imag)) <= 1e-8
     np.testing.assert_allclose(pred.real, c, atol=1e-6)
 
@@ -558,21 +554,21 @@ def test_N2_diagonal_theta_predicts_zero(sys2):
     th = ThetaMatrix([[2.0, 0.0], [0.0, 3.0]])
     gam = build_gamma(sys2, th, size=24)
     nu = random_sqrt_vanishing(sys2, modes=8, seed=13)
-    pred = range_condition_N2(th, nu, gam)
+    pred = range_condition_N2(nu, gam)
     np.testing.assert_allclose(pred, 0.0, atol=1e-15)
 
 
 def test_two_interval_form_matches_general_path(sys2, theta2, gamma2, rt2):
     _, _, _, nu = rt2
-    pred = range_condition_N2(theta2, nu, gamma2)
-    pred2 = range_condition_two_intervals(theta2, nu, gamma2)
+    pred = range_condition_N2(nu, gamma2)
+    pred2 = range_condition_two_intervals(nu, gamma2)
     assert np.max(np.abs(pred - pred2)) <= 1e-12
 
 
 def test_J12_symmetric_agrees_with_N2(sys2, theta2, gamma2, rt2):
     _, _, _, nu = rt2
-    predN = range_condition_N2(theta2, nu, gamma2)
-    predJ = range_condition_J12(theta2, nu, gamma2)
+    predN = range_condition_N2(nu, gamma2)
+    predJ = range_condition_J12(nu, gamma2)
     assert np.max(np.abs(predN - predJ)) <= 1e-6
 
 
@@ -580,7 +576,7 @@ def test_J12_diagonal_zero(sys2):
     th = ThetaMatrix([[2.0, 0.0], [0.0, 3.0]])
     gam = build_gamma(sys2, th, size=24)
     nu = random_sqrt_vanishing(sys2, modes=8, seed=14)
-    pred = range_condition_J12(th, nu, gam)
+    pred = range_condition_J12(nu, gam)
     np.testing.assert_allclose(pred, 0.0, atol=1e-15)
 
 
@@ -591,13 +587,13 @@ def test_J12_non_symmetric_round_trip(sys2):
     c = compute_c(psi)
     nu = compute_nu(psi, c, th)
     gam = build_gamma(sys2, th, size=96)
-    pred = range_condition_J12(th, nu, gam)
+    pred = range_condition_J12(nu, gam)
     np.testing.assert_allclose(pred.real, c, atol=1e-5)
 
 
 def test_integrable_residual_on_round_trip(sys2, theta2, gamma2, rt2):
     _, psi, c, nu = rt2
-    out = range_check_L1_variant(psi, c, nu, gamma2, theta2)
+    out = range_check_L1_variant(psi, c, nu, gamma2)
     assert np.max(np.abs(out["integrable"])) <= 1e-6
     assert out["zero_shift"] is None  # c[psi] != 0 here
 
@@ -607,7 +603,7 @@ def test_zero_shift_residual_on_zero_c_fixture(sys2, theta2, gamma2):
     psi = forward_map(theta2, phi0)
     c = compute_c(psi)
     assert np.max(np.abs(c)) <= 1e-12
-    out = range_check_L1_variant(psi, c, compute_nu(psi, c, theta2), gamma2, theta2)
+    out = range_check_L1_variant(psi, c, compute_nu(psi, c, theta2), gamma2)
     assert out["zero_shift"] is not None
     assert np.max(np.abs(out["zero_shift"])) <= 1e-6
     assert np.max(np.abs(out["integrable"])) <= 1e-6
@@ -616,7 +612,7 @@ def test_zero_shift_residual_on_zero_c_fixture(sys2, theta2, gamma2):
 def test_range_check_zero_input(sys2, theta2, gamma2):
     psi = PiecewiseFunction.zeros(sys2, 8)
     c = compute_c(psi)
-    out = range_check_L1_variant(psi, c, compute_nu(psi, c, theta2), gamma2, theta2)
+    out = range_check_L1_variant(psi, c, compute_nu(psi, c, theta2), gamma2)
     np.testing.assert_allclose(out["integrable"], 0.0, atol=1e-15)
 
 

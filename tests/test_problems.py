@@ -271,9 +271,9 @@ COINCIDENT_INVERTS = {"n2-128": (SPD2, 128), "n2-512": (SPD2, 512),
 
 @pytest.mark.parametrize("case", COINCIDENT_INVERTS)
 def test_spd_invert_with_resolvent_targets_on_nodes(case):
-    # gcd(nystrom + 1, 33) > 1: the resolvent targets cheb2_nodes(nystrom + 33)
-    # meet Nystrom nodes, exactly or (n3 at 65 and 74) 1 ulp apart, and those
-    # terms take the exact coincidence limit
+    # gcd(nystrom + 1, 33) > 1: nystrom + 33 resolvent targets would meet
+    # Nystrom nodes, exactly or (n3 at 65 and 74) 1 ulp apart, so the target
+    # count steps to the next size whose U nodes share none with the grid
     text, nystrom = COINCIDENT_INVERTS[case]
     assert np.gcd(nystrom + 1, 33) > 1
     bundle = run_command(parse_problem(text.replace("nystrom = 48",
@@ -578,6 +578,16 @@ def test_cli_exits_1_on_an_unmapped_package_error(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "error (SymmetryError): needs theta = theta^t" in err
     assert "Traceback" not in err
+
+
+def test_cli_unreadable_problem_file_exits_2(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"command = invert\nintervals = (\xff,1)\n")
+    for path in (not_utf8, tmp_path / "missing.txt"):
+        assert cli_main(["invert", "--problem", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error (SchemaError): cannot read problem file" in err
+        assert "Traceback" not in err
 
 
 UNIFORM1 = """
