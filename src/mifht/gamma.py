@@ -42,6 +42,7 @@ from .solver import (
     assemble_K,
     kernel_g,
     _checked_solve,
+    _cross_modes,
     _range2_moments,
     _real_matmul,
     _stacked_g,
@@ -335,14 +336,14 @@ class GammaSolution:
         and the node columns wA = sw p A, w = sw p the sum splits into
         sum_a Gamma_am(z) (C wA)_a - A(z) Gamma_m(z) (C w): one real Cauchy
         product per target interval.  Its rounding is that of the
-        difference A(x_q) - A(z) it replaces, eps / |z - x_q|.  The U nodes
-        cos(pi q / (N + 1)) of two sizes share a point only when their N + 1
-        share a factor, so the target count, the first one from max(M_l) + 33
-        coprime in that sense to every M_l, never puts a target on a node.
+        difference A(x_q) - A(z) it replaces, eps / |z - x_q|.  hat R nu is
+        analytic off the other intervals: the target count P is the first from
+        the largest ``_cross_modes`` with P + 1 coprime to every M_l + 1, so
+        no U node cos(pi q / (P + 1)) is a node of the grid.
         """
         ns = self.nystrom
         sys, n = self.sys, self.sys.n
-        nmodes = max(ns.grid.sizes) + 33
+        nmodes = max(_cross_modes(sys, m) for m in range(n))
         while any(gcd(nmodes + 1, size + 1) > 1 for size in ns.grid.sizes):
             nmodes += 1
         x = ns.nodes

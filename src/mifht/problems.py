@@ -185,10 +185,10 @@ def validate_params(spec: ProblemSpec):
 
     Runs on the final parameters, after any command-line overrides.
     """
-    for key, low in (("nystrom", 1), ("modes", 2)):
+    for key, low in (("nystrom", 1), ("modes", 2), ("seed", 0)):
         if spec.param(key) < low:
             raise SchemaError(f"{key} must be at least {low}, got {spec.param(key)}")
-    for key in ("dt", "tmax"):
+    for key in ("dt", "tmax", "tol"):
         val = spec.param(key)
         if not (np.isfinite(val) and val > 0):
             raise SchemaError(f"{key} must be finite and positive, got {val}")
@@ -408,8 +408,7 @@ def _cmd_invert(spec, sys, theta):
     # first it runs beside Gamma's own K only, not the direct solve's as well
     gam = (build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
            if theta.classification == SPD else None)
-    res = solve_phi(theta, psi, size=spec.param("nystrom"),
-                    nmodes=spec.param("modes"))
+    res = solve_phi(theta, psi, size=spec.param("nystrom"))
     diag = {
         "c": np.real(res.c).tolist(),
         "kappa": _kappa_list(psi),
@@ -560,7 +559,7 @@ def _cmd_selftest(spec, sys, theta):
     th2 = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
     phi0 = random_sqrt_vanishing(s2, modes=10, rng=rng)
     psi = forward_map(th2, phi0)
-    res = solve_phi(th2, psi, size=48, nmodes=48)
+    res = solve_phi(th2, psi, size=48)
     x2 = np.concatenate([s2.from_unit(j, xs) for j in range(2)])
     checks["spd_roundtrip"] = _check(
         float(np.max(np.abs(res.phi(x2) - phi0(x2)))), 1e-6)

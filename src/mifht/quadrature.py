@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .chebyshev import _gauss_legendre
 from .errors import ConvergenceError, DomainError
@@ -99,6 +98,7 @@ def pv_oracle(f, interval, z, tol=1e-10):
     expansion 2 h f'(z) + h^3 f'''(z)/9 + ..., which three Richardson
     levels in h remove.  Independent of the spectral transform path.
     """
+    from scipy.integrate import quad  # test oracle only: kept off the import path
     a, b = float(interval[0]), float(interval[1])
     z = float(z)
     if not a < z < b:
@@ -136,6 +136,7 @@ def pv_oracle(f, interval, z, tol=1e-10):
 
 def ordinary_cauchy(f, interval, z):
     """(1/pi) int f(t)/(t - z) dt for z off the (closed) interval."""
+    from scipy.integrate import quad
     a, b = float(interval[0]), float(interval[1])
     opts = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
     if np.iscomplexobj(np.asarray(z)) and np.imag(z) != 0:

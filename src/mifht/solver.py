@@ -461,16 +461,16 @@ class SolveResult:
     diagnostics: dict
 
 
-def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResult:
+def solve_phi(theta, psi: PiecewiseFunction, size=96) -> SolveResult:
     """Nystrom solution of (Id - K) phi = nu with diagnostics.
 
-    phi is sampled on ``nmodes`` U nodes per interval and each interval's
-    series is kept to its standard chop at eps.  Diagnostics: linear-system
-    residual, smallest singular value, and the second range-condition
-    residual of the recovered solution.  Id - K is invertible by theorem for
-    SPD theta and for the all-ones theta (classification ``uniform``); for
-    the other classifications with a nonzero off-diagonal part its
-    invertibility is certified numerically only, and ``warning`` records that.
+    phi = nu + K phi keeps nu's coefficients and reads K phi, analytic off
+    the other intervals, at ``_cross_modes`` U nodes; each interval's sum is
+    kept to its chop at eps.  Diagnostics: linear-system residual, smallest
+    singular value, and the second range-condition residual of phi.  Id - K
+    is invertible by theorem for SPD theta and the all-ones theta
+    (``uniform``); for other classifications with a nonzero off-diagonal part
+    it is certified numerically only, and ``warning`` records that.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -480,8 +480,7 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
     ns = assemble_K(sys, theta, size=size, lam=1.0)
 
     rhs = ns.nodal(nu)
-    real_data = psi.field == "real"
-    if real_data:
+    if psi.field == "real":
         rhs = rhs.real
         sol, sigma_min, residual = _checked_solve(ns, rhs)
     else:  # as real and imaginary columns, so the real operator gets a real LU
@@ -495,16 +494,12 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96, nmodes=None) -> SolveResul
         warn = ("theta is not symmetric positive definite: invertibility of "
                 "Id - K is certified numerically only (sigma_min = %.3e)" % sigma_min)
 
-    if nmodes is None:
-        nmodes = max(a.shape[0] for a in nu.coeffs)
-    smooth = []
+    kphi = []
     for j in range(sys.n):
-        z = sys.from_unit(j, cheb.cheb2_nodes(nmodes))
-        p = cheb.chebU_nodal(nu.coeffs[j], nmodes) + ns.kernel_apply_smooth(
-            sol, j, z) / ns.lam
-        smooth.append(np.real(p) if real_data else p)
-    coeffs = [cheb.chebU_coeffs(v) for v in smooth]
-    phi = PiecewiseFunction(sys, [a[: cheb.chop(a)] for a in coeffs], weighted=True)
+        z = sys.from_unit(j, cheb.cheb2_nodes(_cross_modes(sys, j)))
+        kphi.append(cheb.chebU_coeffs(ns.kernel_apply_smooth(sol, j, z) / ns.lam))
+    full = nu + PiecewiseFunction(sys, kphi, weighted=True)
+    phi = PiecewiseFunction(sys, [a[: cheb.chop(a)] for a in full.coeffs], weighted=True)
 
     diag = {
         "residual": residual,
@@ -564,18 +559,25 @@ def residual_range2(theta, phi: PiecewiseFunction, c):
 # the bilinear form J and injectivity diagnostics
 
 
-def _cross_nodes(sys: IntervalSystem, j, k, modes):
-    """Gauss-Chebyshev-2 size on I_j that resolves (H_k f_k)' times a smooth part.
-
-    (H_k f_k)' is analytic off I_k, so on I_j it is analytic inside the
-    Bernstein ellipse through the nearest endpoint of I_k, whose parameter
-    is rho = |u_j| there; N nodes leave an error near rho^(-2N) once the
-    ``modes`` of the paired smooth part are spent.
-    """
+def _decay_modes(sys: IntervalSystem, j, k):
+    """log(1/eps) / log(rho), the U modes on I_j of a function analytic off I_k:
+    it is analytic inside the Bernstein ellipse through the nearest endpoint of
+    I_k, with rho = |u_j| there (Trefethen, ATAP, ch. 8)."""
     edge = sys.alpha[k] if k > j else sys.beta[k]
     rho = abs(joukowski_exterior(sys.to_unit(j, edge)))
-    digits = -np.log(np.finfo(float).eps) / np.log(rho)
-    return int(np.ceil(0.5 * (digits + modes))) + 2
+    return -np.log(np.finfo(float).eps) / np.log(rho)
+
+
+def _cross_modes(sys: IntervalSystem, j):
+    """U modes on I_j that resolve a function analytic off the other intervals."""
+    return max([int(np.ceil(_decay_modes(sys, j, k))) for k in range(sys.n) if k != j],
+               default=1)
+
+
+def _cross_nodes(sys: IntervalSystem, j, k, modes):
+    """Gauss-Chebyshev-2 size on I_j that resolves (H_k f_k)' times a smooth part:
+    N nodes leave an error near rho^(-2N) once its ``modes`` are spent."""
+    return int(np.ceil(0.5 * (_decay_modes(sys, j, k) + modes))) + 2
 
 
 def _j_form(theta, fs, gs):

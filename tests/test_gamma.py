@@ -423,15 +423,32 @@ def test_apply_resolvent_matches_difference_form_reference(request, case):
     sizes = gam.nystrom.grid.sizes
     nmodes = max(sizes) + 33
     ref, hits = _difference_form_resolvent(gam, nu, nmodes)
-    # the reference keeps max(M) + 33 targets, which meet the nodes of I_m,
-    # exactly or 1 ulp apart, when gcd(nmodes + 1, M_m + 1) > 1; the target
-    # count of apply_resolvent steps past such sizes
+    # the reference keeps max(M) + 33 targets, more than the _cross_modes
+    # apply_resolvent starts from, and they meet the nodes of I_m, exactly or
+    # 1 ulp apart, when gcd(nmodes + 1, M_m + 1) > 1; the target count of
+    # apply_resolvent steps past such sizes
     assert [h > 0 for h in hits] == [np.gcd(nmodes + 1, M + 1) > 1 for M in sizes]
     scale = max(np.max(np.abs(r)) for r in ref)
     for m in range(sys.n):
         assert got.coeffs[m].size < nmodes
         vals = cheb.chebU_nodal(got.coeffs[m], nmodes)
         assert np.max(np.abs(vals - ref[m])) <= 1e-13 * scale
+
+
+def test_apply_resolvent_resolves_a_small_gap(theta3):
+    # at gap 0.01 hat R nu needs ~180 modes; max(M) + 33 = 97 targets left
+    # it 2.9e-9 off, the _cross_modes count resolves it to eps
+    sys = make_interval_system([(0.0, 1.0), (1.01, 2.01), (2.02, 3.02)])
+    psi = forward_map(theta3, random_sqrt_vanishing(sys, modes=16, seed=3))
+    nu = compute_nu(psi, compute_c(psi), theta3)
+    gam = build_gamma(sys, theta3, lam=1.0, size=64)
+    got = gam.apply_resolvent(nu)
+    ref, hits = _difference_form_resolvent(gam, nu, 251)
+    assert hits == [0, 0, 0]
+    scale = max(np.max(np.abs(r)) for r in ref)
+    for m in range(sys.n):
+        vals = cheb.chebU_nodal(got.coeffs[m], 251)
+        assert np.max(np.abs(vals - ref[m])) <= 1e-12 * scale
 
 
 def test_apply_resolvent_inverts_the_nystrom_operator_at_complex_lambda(sys2, theta2, rt2):

@@ -1,6 +1,9 @@
 """Static checks over the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,3 +97,14 @@ def test_every_attribute_set_on_self_is_read():
              for p in sorted((ROOT / d).rglob("*.py"))]
     read = set().union(*(attrs(p, ast.Load) for p in files))
     assert sorted(assigned - read) == []
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves the quadrature oracles only, which import it
+    # when called, so a cold start of the package or the CLI skips it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, mifht, mifht.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

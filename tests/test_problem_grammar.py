@@ -27,8 +27,11 @@ BUMP_WIDTHS = (("0.5", "2"), ("0", "-1", "inf", "x"))
 NYSTROM = ((16, 4, 32), (0, -1))
 MODES = ((8, 32, 2), (1, -1))
 TMAX = (("8", "32"), ("-1", "256"))
+SEEDS = (("0", "7"), ("-1",))
+TOLS = (("1e-6", "0.5"), ("nan", "inf", "0", "-1e-6"))
 PRESETS = ("random-sqrt", "const", "linear", "cheb-sqrt", "gaussian-bump")
-FIELDS = (None, "width", "gap", "theta", "rhs", "nystrom", "modes", "tmax")
+FIELDS = (None, "width", "gap", "theta", "rhs", "nystrom", "modes", "tmax", "seed",
+          "tol")
 
 
 @st.composite
@@ -74,8 +77,9 @@ def problem(draw):
              f"theta = {theta}", f"rhs = {rhs}",
              f"nystrom = {pick('nystrom', NYSTROM)}",
              f"modes = {pick('modes', MODES)}"]
-    if spoil == "tmax" or draw(st.booleans()):
-        lines.append(f"tmax = {pick('tmax', TMAX)}")
+    for key, values in (("tmax", TMAX), ("seed", SEEDS), ("tol", TOLS)):
+        if spoil == key or draw(st.booleans()):
+            lines.append(f"{key} = {pick(key, values)}")
     return command, "\n".join(lines) + "\n"
 
 

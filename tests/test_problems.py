@@ -38,6 +38,7 @@ from mifht.problems import (
 from mifht.quadrature import chebyshev2_grid
 from mifht.solver import (
     SKETCH_TOL,
+    _cross_modes,
     _cross_nodes,
     assemble_K,
     clear_kernel_cache,
@@ -333,15 +334,17 @@ def test_resolution_diagnostics_report_the_chopped_series():
 def test_invert_chops_phi_and_reports_its_modes(monkeypatch):
     spec = parse_problem(N3_SPD.replace("nystrom = 48", "nystrom = 256"))
     modes = run_command(spec).diagnostics["resolution"]["phi_modes"]
-    # n3 phi resolves well within the 128 sampled modes
+    # n3 phi resolves well within the nu modes plus the _cross_modes read-out
     assert len(modes) == 3 and all(m <= 64 for m in modes)
     sys, theta = spec.system(), spec.theta_matrix()
     psi = build_rhs(spec, sys, theta)
-    chopped = solve_phi(theta, psi, size=256, nmodes=spec.param("modes")).phi
+    chopped = solve_phi(theta, psi, size=256).phi
     assert [a.size for a in chopped.coeffs] == modes
     monkeypatch.setattr(cheb, "chop", lambda coeffs: np.shape(coeffs)[-1])
-    full = solve_phi(theta, psi, size=256, nmodes=spec.param("modes")).phi
-    assert all(a.size == spec.param("modes") for a in full.coeffs)
+    res = solve_phi(theta, psi, size=256)
+    full = res.phi
+    assert [a.size for a in full.coeffs] == [
+        max(a.size, _cross_modes(sys, j)) for j, a in enumerate(res.nu.coeffs)]
     x = np.concatenate([sys.from_unit(j, np.linspace(-0.99, 0.99, 41))
                         for j in range(sys.n)])
     ref = full(x)
@@ -355,6 +358,17 @@ def test_invert_chops_phi_and_reports_its_modes(monkeypatch):
             "[[1,0.5,0.1],[0.2,1,0.5],[0.5,0.3,1]]")))
     assert "not symmetric positive definite" in other.diagnostics["warning"]
     assert set(other.diagnostics["resolution"]) == {"phi_modes"}
+
+
+def test_invert_phi_does_not_depend_on_the_modes_key():
+    # modes sizes the sampled presets and forward's output; phi of an invert
+    # is read out at _cross_modes from the geometry, so modes = 12 loses nothing
+    text = N3_SPD.replace("[[1,0.5,0.5],[0.5,1,0.5],[0.5,0.5,1]]",
+                          "[[1,0.5,0.1],[0.2,1,0.5],[0.5,0.3,1]]")
+    phis = [np.array(run_command(parse_problem(text + f"modes = {m}\n")).tables["phi"])
+            for m in (12, 128)]
+    scale = np.max(np.abs(phis[1][:, 2]))
+    assert np.max(np.abs(phis[0] - phis[1])) <= 1e-14 * scale
 
 
 # -- per-point references for the command diagnostics ---------------------------
@@ -449,7 +463,7 @@ def test_invert_diagnostics_match_per_point_reference():
     d = bundle.diagnostics
     sys, theta = spec.system(), spec.theta_matrix()
     psi = build_rhs(spec, sys, theta)
-    res = solve_phi(theta, psi, size=spec.param("nystrom"), nmodes=spec.param("modes"))
+    res = solve_phi(theta, psi, size=spec.param("nystrom"))
     nu = compute_nu(psi, res.c, theta)
     gam = build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
     phi_r = nu + _ref_resolvent(gam, nu, spec.param("nystrom") + 33)
@@ -625,6 +639,12 @@ MALFORMED = {
     "tmax-negative": (UNIFORM1, ["uniform-invert", "--tmax", "-1"]),
     "tmax-beyond-inverse-map-range": (UNIFORM1, ["uniform-invert", "--tmax", "256"]),
     "range-tol-key-not-read": (MINIMAL + "range_tol = 1e-8\n", ["invert"]),
+    "seed-negative-random-sqrt": (
+        MINIMAL.replace("linear 0 1", "random-sqrt 8") + "seed = -1\n", ["invert"]),
+    "seed-negative-injectivity-report": (MINIMAL + "seed = -1\n", ["injectivity-report"]),
+    "tol-nan": (MINIMAL + "tol = nan\n", ["invert"]),
+    "tol-inf": (MINIMAL, ["invert", "--tol", "inf"]),
+    "tol-zero": (MINIMAL + "tol = 0\n", ["invert"]),
 }
 MALFORMED_ERROR = {"tmax-beyond-inverse-map-range": "RangeExceededError"}
 
