@@ -46,6 +46,7 @@ from .solver import (
     _range2_moments,
     _real_matmul,
     _stacked_g,
+    memo_at_lambda,
 )
 
 
@@ -73,7 +74,9 @@ class GammaSolution:
     valid on and off the cut (with a side selector on the cut).  Each
     series comes from F g^t at the M_l Nystrom nodes of I_l, with F from
     the Fredholm solve, and is kept to the standard chop of its n x n
-    envelope, so every sum runs over the resolved modes.
+    envelope, so every sum runs over the resolved modes.  ``build_gamma``
+    shares one Gamma between callers, so its arrays (``density``,
+    ``F_smooth_nodes`` and the node cache) are read-only.
     """
 
     def __init__(self, nystrom: NystromSystem):
@@ -85,15 +88,19 @@ class GammaSolution:
         n = self.sys.n
 
         smooth, self.f_residual = compute_F(ns)
+        smooth.flags.writeable = False
         self.F_smooth_nodes = smooth
 
         # density coefficients D[l][j, m, :] with mu_jm = w_l * (i d), from
         # the smooth parts of F and g at the nodes of I_l (row l of g is zero)
-        self.density = []
+        density = []
         for F_l, g_l in zip(ns.split(smooth.T), ns.split(ns.g_nodes.T)):
             dmat = np.einsum("qj,qm->jmq", F_l, g_l)
             coeffs = cheb.chebU_coeffs(dmat.reshape(n * n, -1))
-            self.density.append(coeffs[:, : cheb.chop(coeffs)].reshape(n, n, -1))
+            D = coeffs[:, : cheb.chop(coeffs)].reshape(n, n, -1)
+            D.flags.writeable = False
+            density.append(D)
+        self.density = tuple(density)
 
     # -- the kernel vectors f and g --------------------------------------------
 
@@ -242,10 +249,13 @@ class GammaSolution:
         """(Gamma_+, Gamma_+^{-1}, A = g^t Gamma^{-1}) at the stacked Nystrom nodes.
 
         Built on first use from one evaluation of Gamma, with g from the
-        Nystrom system; shapes (Q, n, n), (Q, n, n) and (Q, n).
+        Nystrom system; shapes (Q, n, n), (Q, n, n) and (Q, n), read-only.
         """
         ns = self.nystrom
-        return self._on_cut(ns.nodes, ns.g_nodes)
+        out = self._on_cut(ns.nodes, ns.g_nodes)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def _node_moments(self, pf: PiecewiseFunction, rows):
         """sum_k int_{I_k} pf_k(x) rows_m(x) dx for rows (Q, n) at the nodes."""
@@ -373,8 +383,14 @@ class GammaSolution:
 
 
 def build_gamma(sys: IntervalSystem, theta, lam=1.0, size=96) -> GammaSolution:
-    """Assemble the Nystrom system and construct Gamma(z; lambda)."""
-    return GammaSolution(assemble_K(sys, theta, size=size, lam=lam))
+    """Gamma(z; lambda) on the Nystrom system of (sys, theta, size).
+
+    Gamma depends on the operator and lambda alone, not on any data, so it
+    is kept with the cached operator (``solver.memo_at_lambda``): a repeat
+    of the operator at the same lambda returns the same read-only Gamma and
+    solves nothing.  ``GammaSolution(ns)`` always builds a new one.
+    """
+    return memo_at_lambda(assemble_K(sys, theta, size=size, lam=lam), GammaSolution)
 
 
 def invert_via_resolvent(nu: PiecewiseFunction, gamma: GammaSolution):

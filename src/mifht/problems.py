@@ -115,7 +115,11 @@ def parse_problem(text: str) -> ProblemSpec:
         if "=" not in line:
             raise SchemaError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        entries[key.lower()] = (value, lineno)
+        key = key.lower()
+        if key in entries:
+            raise SchemaError(f"line {lineno}: key '{key}' is already given "
+                              f"on line {entries[key][1]}")
+        entries[key] = (value, lineno)
 
     def take(key, required=False):
         if key in entries:

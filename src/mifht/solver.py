@@ -291,11 +291,22 @@ def _real_matmul(a, b):
     return out.view(complex).reshape(a.shape[:1] + b.shape[1:])
 
 
-# the last operator assembled and sketched, keyed by (endpoints, theta, sizes)
+@dataclass
+class _CachedOperator:
+    """The last operator assembled and sketched, and the one value built on
+    it at one lambda (``memo_at_lambda``)."""
+
+    operator: NystromSystem
+    lam: complex | None = None
+    value: object = None
+
+
+# at most one entry, keyed by (endpoints, theta, sizes)
 _OPERATOR_CACHE = {}
 
 
 def clear_kernel_cache():
+    """Forget the cached operator and the value kept with it (its Gamma)."""
     _OPERATOR_CACHE.clear()
 
 
@@ -305,9 +316,10 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     K and its sketch do not depend on lambda, so the last operator is cached:
     a repeat of (sys, theta, grid sizes) shares its read-only ``kernel``,
     grid, ``g_nodes`` and sketch under its own lambda, made real unless its
-    imaginary part is nonzero.  A new operator evicts the old one before it
-    is built.  Zero diagonal blocks and real entries are structural; both
-    are asserted by the unit tests rather than here.
+    imaginary part is nonzero.  A new operator evicts the old one, and the
+    value ``memo_at_lambda`` kept with it, before it is built.  Zero
+    diagonal blocks and real entries are structural; both are asserted by
+    the unit tests rather than here.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -318,9 +330,28 @@ def assemble_K(sys: IntervalSystem, theta, lam=1.0, size=96) -> NystromSystem:
     key = (sys.endpoints.tobytes(), theta.entries.tobytes(), tuple(_sizes(sys, size)))
     if key not in _OPERATOR_CACHE:
         _OPERATOR_CACHE.clear()
-        _OPERATOR_CACHE[key] = _assemble(sys, theta, size)
+        _OPERATOR_CACHE[key] = _CachedOperator(_assemble(sys, theta, size))
     lam = lam if np.imag(lam) != 0 else float(np.real(lam))
-    return replace(_OPERATOR_CACHE[key], sys=sys, theta=theta, lam=lam)
+    return replace(_OPERATOR_CACHE[key].operator, sys=sys, theta=theta, lam=lam)
+
+
+def memo_at_lambda(ns: NystromSystem, build):
+    """build(ns), kept with the cached operator of ns for ns's lambda.
+
+    One slot per operator: a repeat of the operator at the same lambda
+    returns the kept value, another lambda drops it before building, so a
+    lambda sweep holds one value.  The slot lives in the cache entry, not on
+    ns, so a value that holds ns forms no cycle, and a new operator frees the
+    old kernel and its value together.  A system whose kernel is no longer
+    the cached one is built and not kept.
+    """
+    entry = next(iter(_OPERATOR_CACHE.values()), None)
+    if entry is None or entry.operator.kernel is not ns.kernel:
+        return build(ns)
+    if entry.value is None or entry.lam != ns.lam:
+        entry.value = None
+        entry.value, entry.lam = build(ns), ns.lam
+    return entry.value
 
 
 def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:

