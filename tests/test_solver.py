@@ -15,8 +15,8 @@ from mifht import (
     fht_invert,
     make_interval_system,
 )
-from mifht import gamma, solver
-from mifht.gamma import GammaSolution
+from mifht import solver
+from mifht.gamma import GammaSolution, compute_F
 from mifht.problems import parse_problem, run_command
 from mifht.solver import (
     DEGENERATE,
@@ -277,8 +277,9 @@ def test_the_shared_kernel_is_read_only(sys3, theta3):
 
 
 def test_a_repeat_of_operator_and_lambda_returns_the_kept_gamma(monkeypatch, sys3, theta3):
-    compute, solves = gamma.compute_F, []
-    monkeypatch.setattr(gamma, "compute_F", lambda ns: solves.append(ns.lam) or compute(ns))
+    solves = []
+    monkeypatch.setattr("mifht.gamma.compute_F",
+                        lambda ns: solves.append(ns.lam) or compute_F(ns))
     first = build_gamma(sys3, theta3, lam=1.0, size=20)
     # an equal theta, per-interval sizes and a complex 1 name the same Gamma
     again = build_gamma(sys3, ThetaMatrix(theta3.entries.copy()), lam=1.0 + 0.0j,
@@ -289,12 +290,17 @@ def test_a_repeat_of_operator_and_lambda_returns_the_kept_gamma(monkeypatch, sys
     assert build_gamma(sys3, theta3, size=20) is first and solves == [1.0, 1.0]
 
 
-def test_another_lambda_replaces_the_kept_gamma(sys3, theta3):
+def test_another_lambda_replaces_the_kept_gamma(monkeypatch, sys3, theta3):
     gc.disable()
     try:
         first = weakref.ref(build_gamma(sys3, theta3, lam=1.0, size=20))
+        alive = []
+        monkeypatch.setattr("mifht.gamma.compute_F",
+                            lambda ns: alive.append(first() is not None) or compute_F(ns))
         other = build_gamma(sys3, theta3, lam=0.7 + 0.4j, size=20)
-        assert first() is None  # a lambda sweep holds one Gamma
+        # the old Gamma is gone before the new one is solved for, so a
+        # lambda sweep never holds two
+        assert alive == [False] and first() is None
         assert build_gamma(sys3, theta3, lam=0.7 + 0.4j, size=20) is other
         assert build_gamma(sys3, theta3, lam=1.0, size=20) is not other
     finally:
