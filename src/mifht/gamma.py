@@ -53,16 +53,16 @@ from .solver import (
 def compute_F(nystrom: NystromSystem):
     """Solve (Id - K/lambda) F = f column-wise at the collocation nodes.
 
-    Returns (smooth, residual): ``smooth[j]`` holds the smooth part
-    F_j / w_l on every node of every interval l, and ``residual`` the
-    linear-system defect.
+    Returns (smooth, residual, solve): ``smooth[j]`` holds the smooth part
+    F_j / w_l on every node of every interval l, ``residual`` the
+    linear-system defect and ``solve`` the report of ``solver._solve_refined``.
     """
     ns = nystrom
     rhs = np.zeros((ns.size, ns.sys.n), dtype=complex)
     for j in range(ns.sys.n):
         rhs[ns.offsets[j]: ns.offsets[j + 1], j] = -2j
-    smooth, _, residual = _checked_solve(ns, rhs)
-    return smooth.T, residual
+    smooth, report = _checked_solve(ns, rhs)
+    return smooth.T, report["residual"], report["solve"]
 
 
 class GammaSolution:
@@ -87,7 +87,7 @@ class GammaSolution:
         self.nystrom = ns
         n = self.sys.n
 
-        smooth, self.f_residual = compute_F(ns)
+        smooth, self.f_residual, self.f_solve = compute_F(ns)
         smooth.flags.writeable = False
         self.F_smooth_nodes = smooth
 

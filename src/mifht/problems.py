@@ -408,8 +408,8 @@ def _kappa_list(psi):
 def _cmd_invert(spec, sys, theta):
     psi = build_rhs(spec, sys, theta)
     tol = spec.param("tol")
-    # Gamma first: its complex LU is the op's largest transient, and built
-    # first it runs beside Gamma's own K only, not the direct solve's as well
+    # Gamma first: its complex64 LU (8 N^2 bytes) is the op's largest transient,
+    # and built first it runs beside Gamma's own K only, not the direct solve's
     gam = (build_gamma(sys, theta, lam=1.0, size=spec.param("nystrom"))
            if theta.classification == SPD else None)
     res = solve_phi(theta, psi, size=spec.param("nystrom"))
@@ -417,6 +417,8 @@ def _cmd_invert(spec, sys, theta):
         "c": np.real(res.c).tolist(),
         "kappa": _kappa_list(psi),
         "sigma_min": res.diagnostics["sigma_min"],
+        "sigma_max": res.diagnostics["sigma_max"],
+        "solve": res.diagnostics["solve"],
         "linear_residual": _check(res.diagnostics["residual"], tol),
         "range2_residual": _check(
             np.max(np.abs(res.diagnostics["range2_residual"])), tol),
@@ -486,6 +488,7 @@ def _cmd_gamma_check(spec, sys, theta):
         "nojump_gamma_f": _check(nj_f, 1e-8),
         "nojump_gt_gamma_inv": _check(nj_g, 1e-8),
         "f_solve_residual": gam.f_residual,
+        "solve": gam.f_solve,
         "resolution": gam.density_resolution(),
         "sketch": gam.nystrom.sketch,
     }

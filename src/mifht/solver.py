@@ -26,6 +26,7 @@ import scipy.linalg
 from . import chebyshev as cheb
 from .chebyshev import PiecewiseFunction
 from .errors import (
+    ConvergenceError,
     DegenerateDiagonalError,
     NearSingularError,
     NonFiniteError,
@@ -44,10 +45,10 @@ DEGENERATE = "degenerate-diagonal"
 
 
 class ThetaMatrix:
-    """Real n x n interaction matrix with its classification and d/o split."""
+    """Real n x n interaction matrix, its classification and d/o split, read-only."""
 
     def __init__(self, entries):
-        t = np.asarray(entries, dtype=float)
+        t = np.array(entries, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("theta must be a square matrix")
         if not np.all(np.isfinite(t)):
@@ -56,6 +57,8 @@ class ThetaMatrix:
         self.n = t.shape[0]
         self.diag = np.diag(np.diag(t))
         self.off = t - self.diag
+        for a in (t, self.diag, self.off):
+            a.flags.writeable = False
         self.classification = self._classify()
 
     def _classify(self):
@@ -382,20 +385,37 @@ def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:
                          basis=q, rows=qk, sketch_err=err)
 
 
-def _solve_refined(ns: NystromSystem, b):
-    """(Id - K/lambda) x = b by LU with one step of iterative refinement.
+def _solve_refined(ns: NystromSystem, b, kappa):
+    """(x, solve) for (Id - K/lambda) x = b: a single-precision LU refined in double.
 
-    Id - K/lambda is built in a fresh buffer, complex when b or lambda is,
-    and LAPACK factors its transpose in place: for the C-ordered buffer
-    that is the Fortran-ordered array LAPACK works on, so nothing more is
-    copied, and ``trans=1`` then solves with the matrix itself.  The
-    refinement residual comes from K, which the factorization leaves alone.
+    Id - K/lambda goes from the float64 K straight into a fresh buffer,
+    complex when b or lambda is, single precision when kappa 2^-24 <= 1e-2
+    (SINGLE_KAPPA) and double above; LAPACK factors its transpose, the
+    Fortran-ordered view of that buffer, in place, and ``trans=1`` solves
+    with the matrix itself.  Each step solves for a correction from the
+    residual b - (Id - K/lambda) x, taken in double by ``ns.apply`` and cast
+    after scaling each column by its max, and shrinks the error by about
+    kappa times the factor's unit roundoff (Carson-Higham, SIAM J. Sci.
+    Comput. 2018).  It stops when no column's correction exceeds REFINE_TOL
+    kappa of its max |x|, a double solve's accuracy, or raises
+    ConvergenceError after REFINE_STEPS; ``solve`` reports factor and steps.
     """
-    A = _identity_minus(ns.kernel, ns.lam, np.result_type(ns.kernel, ns.lam, b))
-    lu = scipy.linalg.lu_factor(A.T, overwrite_a=True)
-    x = scipy.linalg.lu_solve(lu, b, trans=1)
-    x = x + scipy.linalg.lu_solve(lu, b - ns.apply(x), trans=1)
-    return x
+    wide = np.result_type(ns.kernel, ns.lam, b)
+    single = kappa <= SINGLE_KAPPA
+    A = _identity_minus(ns.kernel, ns.lam, wide if not single else
+                        np.complex64 if wide.kind == "c" else np.float32)
+    lu = scipy.linalg.lu_factor(A.T, overwrite_a=True, check_finite=False)
+    x, r = np.zeros(b.shape, dtype=wide), b
+    for step in range(1, REFINE_STEPS + 1):  # a NaN never passes the test below
+        scale = np.max(np.abs(r), axis=0, initial=np.finfo(float).tiny)
+        d = scale * scipy.linalg.lu_solve(lu, (r / scale).astype(A.dtype), trans=1,
+                                          check_finite=False)
+        x += d
+        if np.all(np.max(np.abs(d), axis=0)
+                  <= REFINE_TOL * kappa * np.max(np.abs(x), axis=0)):
+            return x, {"factor": "float32" if single else "float64", "refinements": step}
+        r = b - ns.apply(x)
+    raise ConvergenceError(f"refinement not converged in {REFINE_STEPS} steps, kappa {kappa:.2e}")
 
 
 # relative Frobenius accuracy of the low-rank sketch of K, and its block size
@@ -403,6 +423,10 @@ SKETCH_TOL = 1e-14
 SKETCH_BLOCK = 32
 # sigma_min / sigma_max below which Id - K/lambda counts as singular
 SIGMA_FLOOR = 1e-10
+# largest kappa factored in single precision; refinement step cap and tolerance
+SINGLE_KAPPA = 1e-2 * 2.0 ** 24
+REFINE_STEPS = 8
+REFINE_TOL = 4 * np.finfo(float).eps
 
 
 def _range_finder(A, target):
@@ -466,17 +490,20 @@ def extreme_singular_values(ns: NystromSystem):
 
 
 def _checked_solve(ns: NystromSystem, b):
-    """(x, sigma_min, residual) for (Id - K/lambda) x = b.
+    """(x, report) for (Id - K/lambda) x = b.
 
     Raises NearSingularError when sigma_min / sigma_max of the sketch falls
-    below SIGMA_FLOOR; ``residual`` is max |(Id - K/lambda) x - b|.
+    below SIGMA_FLOOR; otherwise kappa = sigma_max / sigma_min picks the
+    precision of ``_solve_refined``'s factor.  ``report`` holds both
+    sigmas, the ``solve`` block and ``residual`` max |(Id - K/lambda) x - b|.
     """
     sigma_min, sigma_max, _ = extreme_singular_values(ns)
     if sigma_min < SIGMA_FLOOR * sigma_max:
         raise NearSingularError(
             f"Id - K/lambda numerically singular: sigma_min = {sigma_min:.3e}")
-    x = _solve_refined(ns, b)
-    return x, sigma_min, float(np.max(np.abs(ns.apply(x) - b)))
+    x, solve = _solve_refined(ns, b, sigma_max / sigma_min)
+    return x, {"sigma_min": sigma_min, "sigma_max": sigma_max, "solve": solve,
+               "residual": float(np.max(np.abs(ns.apply(x) - b)))}
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +524,11 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96) -> SolveResult:
 
     phi = nu + K phi keeps nu's coefficients and reads K phi, analytic off
     the other intervals, at ``_cross_modes`` U nodes; each interval's sum is
-    kept to its chop at eps.  Diagnostics: linear-system residual, smallest
-    singular value, and the second range-condition residual of phi.  Id - K
-    is invertible by theorem for SPD theta and the all-ones theta
-    (``uniform``); for other classifications with a nonzero off-diagonal part
-    it is certified numerically only, and ``warning`` records that.
+    kept to its chop at eps.  Diagnostics: the report of ``_checked_solve``
+    and the second range-condition residual of phi.  Id - K is invertible by
+    theorem for SPD theta and the all-ones theta (``uniform``); for other
+    classifications with a nonzero off-diagonal part it is certified
+    numerically only, and ``warning`` records that.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
@@ -513,17 +540,16 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96) -> SolveResult:
     rhs = ns.nodal(nu)
     if psi.field == "real":
         rhs = rhs.real
-        sol, sigma_min, residual = _checked_solve(ns, rhs)
+        sol, report = _checked_solve(ns, rhs)
     else:  # as real and imaginary columns, so the real operator gets a real LU
-        sol, sigma_min, residual = _checked_solve(
-            ns, np.column_stack([rhs.real, rhs.imag]))
+        sol, report = _checked_solve(ns, np.column_stack([rhs.real, rhs.imag]))
         sol = sol[:, 0] + 1j * sol[:, 1]
-    residual /= 1.0 + float(np.max(np.abs(rhs)))
+    report["residual"] /= 1.0 + float(np.max(np.abs(rhs)))
 
     warn = None
     if theta.classification not in (SPD, UNIFORM) and np.any(theta.off):
-        warn = ("theta is not symmetric positive definite: invertibility of "
-                "Id - K is certified numerically only (sigma_min = %.3e)" % sigma_min)
+        warn = ("theta is not symmetric positive definite: invertibility of Id - K "
+                "is certified numerically only (sigma_min = %.3e)" % report["sigma_min"])
 
     kphi = []
     for j in range(sys.n):
@@ -532,12 +558,8 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96) -> SolveResult:
     full = nu + PiecewiseFunction(sys, kphi, weighted=True)
     phi = PiecewiseFunction(sys, [a[: cheb.chop(a)] for a in full.coeffs], weighted=True)
 
-    diag = {
-        "residual": residual,
-        "sigma_min": sigma_min,
-        "range2_residual": residual_range2(theta, phi, c),
-        "warning": warn,
-    }
+    diag = {**report, "range2_residual": residual_range2(theta, phi, c),
+            "warning": warn}
     return SolveResult(phi=phi, c=c, nu=nu, nystrom=ns, diagnostics=diag)
 
 

@@ -123,7 +123,7 @@ def test_kernel_vectors_batched_match_pointwise(request, n):
 def test_F_diagonal_theta_equals_f(sys2):
     th = ThetaMatrix([[3.0, 0.0], [0.0, 2.0]])
     ns = assemble_K(sys2, th, size=12)
-    smooth, residual = compute_F(ns)
+    smooth, residual, _ = compute_F(ns)
     assert residual <= 1e-14
     for j in range(2):
         own = slice(ns.offsets[j], ns.offsets[j + 1])
@@ -134,7 +134,7 @@ def test_F_diagonal_theta_equals_f(sys2):
 
 def test_F_large_lambda_tends_to_f(sys2, theta2):
     ns = assemble_K(sys2, theta2, size=12, lam=1e6)
-    smooth, _ = compute_F(ns)
+    smooth, _, _ = compute_F(ns)
     rhs = np.zeros_like(smooth)
     for j in range(2):
         rhs[j, ns.offsets[j]: ns.offsets[j + 1]] = -2j
@@ -143,7 +143,7 @@ def test_F_large_lambda_tends_to_f(sys2, theta2):
 
 def test_F_solver_residual(sys2, theta2):
     ns = assemble_K(sys2, theta2, size=64)
-    _, residual = compute_F(ns)
+    _, residual, _ = compute_F(ns)
     assert residual <= 1e-10
 
 
@@ -500,17 +500,23 @@ def test_chopped_gamma_matches_the_full_density(request, monkeypatch, n, size, l
 def test_compute_F_leaves_the_nystrom_matrices_unchanged(sys3, theta3, lam):
     ns = assemble_K(sys3, theta3, size=48, lam=lam)
     matrix, kernel = ns.matrix.copy(), ns.kernel.copy()
-    smooth, residual = compute_F(ns)
+    smooth, residual, solve = compute_F(ns)
     np.testing.assert_array_equal(ns.matrix, matrix)
     np.testing.assert_array_equal(ns.kernel, kernel)
     assert residual <= 1e-13 * np.max(np.abs(smooth))
-    # the LU works in place on its own buffer, for a real and a complex
-    # right-hand side alike, and solves with the operator itself
+    assert solve["factor"] == "float32"
+    # the single-precision LU works in place on its own buffer, for a real
+    # and a complex right-hand side alike, solves with the operator itself,
+    # and its refinement lands on the dense double solve
+    smin, smax, _ = extreme_singular_values(ns)
     b = np.random.default_rng(3).standard_normal((ns.size, 2))
     for rhs in (b, b[:, 0] + 1j * b[:, 1]):
-        x = _solve_refined(ns, rhs)
+        x, solve = _solve_refined(ns, rhs, smax / smin)
         np.testing.assert_array_equal(ns.kernel, kernel)
         np.testing.assert_allclose(matrix @ x, rhs, rtol=0, atol=1e-13)
+        ref = np.linalg.solve(matrix, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert solve["factor"] == "float32" and solve["refinements"] <= 5
 
 
 @pytest.mark.parametrize("n", [2, 3])

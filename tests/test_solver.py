@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 from mifht import (
+    ConvergenceError,
     DegenerateDiagonalError,
     PiecewiseFunction,
     ZeroLambdaError,
@@ -61,6 +62,23 @@ def test_split_exact():
     t = ThetaMatrix([[2.0, 0.5], [0.25, 3.0]])
     np.testing.assert_array_equal(t.diag + t.off, t.entries)
     assert np.all(np.diag(t.off) == 0)
+
+
+def test_theta_matrix_is_read_only():
+    t = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
+    for arr in (t.entries, t.diag, t.off):
+        with pytest.raises(ValueError):
+            arr[0, 1] = 3.0
+    assert t.classification == SPD and t.off[0, 1] == 0.5
+
+
+def test_theta_matrix_copies_the_callers_array():
+    entries = np.array([[1.0, 0.5], [0.5, 1.0]])
+    t = ThetaMatrix(entries)
+    entries[0, 1] = 3.0
+    assert entries.flags.writeable
+    np.testing.assert_array_equal(t.entries, [[1.0, 0.5], [0.5, 1.0]])
+    assert t.classification == SPD and t.off[0, 1] == 0.5
 
 
 # -- forward map --------------------------------------------------------------
@@ -536,11 +554,45 @@ def test_extreme_singular_values_of_zero_kernel_are_one(sys3):
     assert extreme_singular_values(ns) == (1.0, 1.0, 0.0)
 
 
+def _critical_coupling(delta):
+    """Two unit intervals at gap 0.2 with theta_12 = theta_21 = (1 - delta) / mu_1.
+
+    K is block off-diagonal, so its spectrum is +-mu_i, the eigenvalues of the
+    all-ones K of the same grid: Id - K is singular at delta = 0, and
+    sigma_max / sigma_min is near 2.7 / delta.
+    """
+    sys = make_interval_system([(0.0, 1.0), (1.2, 2.2)])
+    mu = np.max(np.linalg.eigvals(assemble_K(sys, np.ones((2, 2)), size=96).kernel).real)
+    t = (1.0 - delta) / mu
+    return assemble_K(sys, ThetaMatrix([[1.0, t], [t, 1.0]]), size=96)
+
+
+@pytest.mark.parametrize("delta, factor", [(1e-3, "float32"), (1e-6, "float64"),
+                                           (1e-9, "float64")])
+def test_refined_solve_near_the_critical_coupling_matches_the_dense_solve(delta, factor):
+    ns = _critical_coupling(delta)
+    b = np.random.default_rng(5).standard_normal(ns.size)
+    x, report = solver._checked_solve(ns, b)
+    kappa = report["sigma_max"] / report["sigma_min"]
+    assert report["solve"]["factor"] == factor
+    ref = np.linalg.solve(ns.matrix, b)
+    assert np.max(np.abs(x - ref)) <= kappa * 1e-15 * np.max(np.abs(ref))
+
+
+def test_a_refinement_that_cannot_converge_raises(monkeypatch):
+    # a single-precision factor at kappa near 2.7e9 cannot contract the error
+    ns = _critical_coupling(1e-9)
+    monkeypatch.setattr(solver, "SINGLE_KAPPA", np.inf)
+    with pytest.raises(ConvergenceError, match="not converged"):
+        solver._checked_solve(ns, np.random.default_rng(5).standard_normal(ns.size))
+
+
 def test_reported_sigmas_match_dense_svd(sys3, theta3):
     psi = forward_map(theta3, random_sqrt_vanishing(sys3, modes=8, seed=3))
     res = solve_phi(theta3, psi, size=64)
     dense_min, dense_max = _dense_sigmas(res.nystrom)
     assert abs(res.diagnostics["sigma_min"] - dense_min) <= 1e-12
+    assert abs(res.diagnostics["sigma_max"] - dense_max) <= 1e-12
     rep = injectivity_report(theta3, sys3, size=64, n_samples=2)
     assert abs(rep["sigma_min"] - dense_min) <= 1e-12
     assert abs(rep["sigma_max"] - dense_max) <= 1e-12
