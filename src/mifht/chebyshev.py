@@ -151,6 +151,20 @@ def chop(coeffs):
     return max(int(np.argmin(ramp)), 1)
 
 
+def resolved_length(coeffs, tol=1e-13):
+    """Leading coefficients up to the last above tol times the largest.
+
+    |coeffs| is taken over every leading axis, as in ``chop``.  ``chop``
+    cuts inside the eps-level tail, so its length can move by a few modes
+    between two computations that agree to rounding; a threshold well
+    above that tail does not.  Never 0.
+    """
+    b = np.abs(np.asarray(coeffs))
+    b = b.reshape(-1, b.shape[-1]).max(axis=0)
+    above = np.flatnonzero(b > tol * np.max(b, initial=0.0))
+    return int(above[-1]) + 1 if above.size else 1
+
+
 def _clenshaw(coeffs, s):
     """Last two iterates c_0, c_1 of c_k = coef_k + 2 s c_{k+1} - c_{k+2}.
 

@@ -140,15 +140,17 @@ class GammaSolution:
             x, lambda k, xk: kernel_g(self.sys, self.theta, k, xk), float, "g")
 
     def density_resolution(self):
-        """Kept modes per interval, and whether each series found no plateau.
+        """Resolved modes per interval, and whether each series found no plateau.
 
-        ``gamma_density_capped[l]`` is true when the chop kept all M_l
-        coefficients of interval l, one per Nystrom node.
+        ``gamma_density_modes[l]`` is the ``resolved_length`` of the kept
+        series of interval l, which rounding does not move as it moves the
+        chop; ``gamma_density_capped[l]`` is true when the chop kept all M_l
+        coefficients, one per Nystrom node.
         """
-        modes = [D.shape[2] for D in self.density]
-        return {"gamma_density_modes": modes,
-                "gamma_density_capped": [
-                    k == m for k, m in zip(modes, self.nystrom.grid.sizes)]}
+        sizes = self.nystrom.grid.sizes
+        return {"gamma_density_modes": [cheb.resolved_length(D) for D in self.density],
+                "gamma_density_capped": [D.shape[2] == m
+                                         for D, m in zip(self.density, sizes)]}
 
     # -- point evaluation ---------------------------------------------------
 

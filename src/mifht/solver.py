@@ -198,8 +198,10 @@ class NystromSystem:
     ``g_nodes`` hold the grid and g at the stacked nodes, so block (j, k) of
     ``kernel`` is g_j(x) sw(x) / (pi (x - z)).  ``lam`` is real unless its
     imaginary part is nonzero, so a real K keeps a real Id - K/lambda.
-    ``basis`` Q, ``rows`` Q^T K and ``sketch_err`` ||K - Q Q^T K||_F are
-    the lambda-free sketch of ``kernel``, made once by ``_assemble``.
+    ``basis`` Q (orthonormal, block diagonal), ``rows`` W and ``sketch_err``
+    >= ||K - Q W||_F are the lambda-free sketch of ``kernel``, made once by
+    ``_assemble`` from the kernel's exterior Chebyshev expansion
+    (``_sketch``).
     """
 
     sys: IntervalSystem
@@ -357,7 +359,24 @@ def memo_at_lambda(ns: NystromSystem, build):
     return entry.value
 
 
+def _node_angles(m):
+    """theta of the m Chebyshev-2 nodes s = cos(theta), in ascending s."""
+    return np.pi * np.arange(m, 0, -1) / (m + 1)
+
+
+def _chebyshev_T(m, p):
+    """T_0 .. T_(p-1) at the m Chebyshev-2 nodes, an m x p matrix."""
+    return np.cos(np.outer(_node_angles(m), np.arange(p)))
+
+
 def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:
+    """K on the Chebyshev-2 grid of ``size`` and its sketch.
+
+    Block row j is written in the unit coordinates of I_j, as
+    g_j(x) sw / (pi h_j (sigma - s)) with s = cos(theta) of the nodes, the
+    arithmetic the sketch's expansion of the same row uses, so the two
+    differ by truncation and not by the rounding of x - z near a small gap.
+    """
     grid = chebyshev2_grid(sys, size)
     offsets = np.concatenate([[0], np.cumsum(grid.sizes)])
 
@@ -366,23 +385,23 @@ def _assemble(sys: IntervalSystem, theta, size) -> NystromSystem:
     g_nodes = _stacked_g(sys, theta, grid)
     gsw = g_nodes * sqrt_weights / np.pi
     kern = np.zeros((offsets[-1], offsets[-1]))
-    for j in range(sys.n):
-        zj = grid.nodes[j]
+    for j, m in enumerate(grid.sizes):
+        s = np.cos(_node_angles(m))
         rows = slice(offsets[j], offsets[j + 1])
         for k in range(sys.n):
             if k == j:
                 continue
             cols = slice(offsets[k], offsets[k + 1])
-            # g_j(x) sw / (pi (x - z)), written into the block in place
+            # g_j(x) sw / (pi h_j (sigma - s)), written into the block in place
             block = kern[rows, cols]
-            np.subtract(grid.nodes[k][None, :], zj[:, None], out=block)
-            np.divide(gsw[j, cols], block, out=block)
+            np.subtract(sys.to_unit(j, nodes[cols])[None, :], s[:, None], out=block)
+            np.divide(gsw[j, cols] / sys.half[j], block, out=block)
     kern.flags.writeable = False
-    q, qk, err = _range_finder(kern, SKETCH_TOL * max(1.0, np.linalg.norm(kern)))
+    q, w, err = _sketch(sys, grid, offsets, gsw, kern)
     return NystromSystem(sys=sys, theta=theta, grid=grid, lam=1.0,
                          kernel=kern, offsets=offsets, nodes=nodes,
                          sqrt_weights=sqrt_weights, g_nodes=g_nodes,
-                         basis=q, rows=qk, sketch_err=err)
+                         basis=q, rows=w, sketch_err=err)
 
 
 def _solve_refined(ns: NystromSystem, b, kappa):
@@ -396,73 +415,158 @@ def _solve_refined(ns: NystromSystem, b, kappa):
     residual b - (Id - K/lambda) x, taken in double by ``ns.apply`` and cast
     after scaling each column by its max, and shrinks the error by about
     kappa times the factor's unit roundoff (Carson-Higham, SIAM J. Sci.
-    Comput. 2018).  It stops when no column's correction exceeds REFINE_TOL
-    kappa of its max |x|, a double solve's accuracy, or raises
-    ConvergenceError after REFINE_STEPS; ``solve`` reports factor and steps.
+    Comput. 2018).  It stops when no column's correction d_i exceeds
+    REFINE_TOL kappa of its max |x|, a double solve's accuracy, or when the
+    next one is predicted within it: rho |d_i| is, with the contraction
+    rho = |d_i| / |d_(i-1)| at most REFINE_RATE, the rate the precision
+    gate promises.  It raises ConvergenceError after REFINE_STEPS;
+    ``solve`` reports factor and steps.
     """
     wide = np.result_type(ns.kernel, ns.lam, b)
     single = kappa <= SINGLE_KAPPA
     A = _identity_minus(ns.kernel, ns.lam, wide if not single else
                         np.complex64 if wide.kind == "c" else np.float32)
     lu = scipy.linalg.lu_factor(A.T, overwrite_a=True, check_finite=False)
-    x, r = np.zeros(b.shape, dtype=wide), b
-    for step in range(1, REFINE_STEPS + 1):  # a NaN never passes the test below
+    x, r, last = np.zeros(b.shape, dtype=wide), b, np.nan
+    for step in range(1, REFINE_STEPS + 1):  # a NaN never passes the tests below
         scale = np.max(np.abs(r), axis=0, initial=np.finfo(float).tiny)
         d = scale * scipy.linalg.lu_solve(lu, (r / scale).astype(A.dtype), trans=1,
                                           check_finite=False)
         x += d
-        if np.all(np.max(np.abs(d), axis=0)
-                  <= REFINE_TOL * kappa * np.max(np.abs(x), axis=0)):
+        size = np.max(np.abs(d), axis=0)
+        tol = REFINE_TOL * kappa * np.max(np.abs(x), axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = size / last
+        if np.all((size <= tol) | ((rho <= REFINE_RATE) & (rho * size <= tol))):
             return x, {"factor": "float32" if single else "float64", "refinements": step}
-        r = b - ns.apply(x)
+        r, last = b - ns.apply(x), size
     raise ConvergenceError(f"refinement not converged in {REFINE_STEPS} steps, kappa {kappa:.2e}")
 
 
-# relative Frobenius accuracy of the low-rank sketch of K, and its block size
+# relative Frobenius accuracy of the low-rank sketch of K, and the multiple
+# of eps ||K||_F its error bound adds for rounding
 SKETCH_TOL = 1e-14
-SKETCH_BLOCK = 32
+ROUNDING = 8.0
 # sigma_min / sigma_max below which Id - K/lambda counts as singular
 SIGMA_FLOOR = 1e-10
-# largest kappa factored in single precision; refinement step cap and tolerance
-SINGLE_KAPPA = 1e-2 * 2.0 ** 24
+# largest contraction per refinement step that predicts the next one, and so
+# the largest kappa factored in single precision; step cap and tolerance
+REFINE_RATE = 1e-2
+SINGLE_KAPPA = REFINE_RATE * 2.0 ** 24
 REFINE_STEPS = 8
 REFINE_TOL = 4 * np.finfo(float).eps
 
 
-def _range_finder(A, target):
-    """(Q, Q^T A, ||A - Q Q^T A||_F) of the seeded range finder of A, grown
-    until that error is <= target or Q spans the whole space."""
-    N = A.shape[0]
-    rng = np.random.default_rng(0)
-    Q = np.empty((N, 0))
-    rows = []  # block^T (A - Q Q^T A) = block^T A, the rows of Q^T A
-    resid = A  # the first deflation writes a new array, later ones overwrite it
-    while True:
-        k = Q.shape[1]
-        Y = resid @ rng.standard_normal((N, min(SKETCH_BLOCK, N - k)))
-        # one Householder QR of [Q, Y] keeps the new block orthogonal to Q
-        # even where Y is rank deficient
-        block = np.linalg.qr(np.hstack([Q, Y]))[0][:, k:]
-        Q = np.hstack([Q, block])
-        rows.append(block.T @ resid)
-        # resid - block rows, as its transpose: Fortran order for BLAS, so
-        # the first call copies A contiguously and later calls work in place
-        resid = scipy.linalg.blas.dgemm(-1.0, rows[-1].T, block.T, 1.0, resid.T,
-                                        overwrite_c=resid is not A).T
-        err = float(np.linalg.norm(resid))
-        if err <= target or Q.shape[1] == N:
-            return Q, np.vstack(rows), err
+def _sketch(sys: IntervalSystem, grid: QuadratureGrid, offsets, gsw, kern):
+    """(Q, W, err): Q orthonormal and block diagonal, ||K - Q W||_F <= err.
+
+    Block row j of K is gsw_j(x) / (x - z) for targets z on I_j and sources
+    x off it.  With s and sigma the unit coordinates of z and x on I_j and
+    u = joukowski_exterior(sigma), |u| > 1,
+
+        1 / (x - z) = 4 / (h_j (u - 1/u)) sum'_{m >= 0} u^-m T_m(s)
+
+    (the first term halved; Trefethen, ATAP, ch. 8), so the row is T C with
+    T_im = T_m(s_i) at its N_j nodes and C_mx = a(x) u^-m,
+    a = 4 gsw_j / (h_j (u - 1/u)).  After p terms the tail of the columns
+    kept in the expansion is at most sqrt(N_j) ||a||_2 rho^-p / (1 - 1/rho),
+    rho their least |u|; it must be within share = SKETCH_TOL max(1,
+    ||K||_F) / (2 sqrt(n)).  Columns next to the gap would need a high
+    degree, so those that need more than p are kept exactly, at the p that
+    makes p plus their number least: the row is [T_p, B_near] E, with E
+    holding C on the far columns and a selection of the near ones, and with
+    [T_p, B_near] = Q_0 R_0 it is Q_0 W0, W0 = R_0 E.  Rows without near
+    columns share one QR of T per N_j (it is nested, so its leading columns
+    serve every lower degree).  Where p plus the near columns reaches N_j
+    the grid does not resolve the gap, and W0 is the exact row, Q_0 = Id.
+    A column-pivoted QR, W0 P = Z R, is cut at the least rank r whose
+    ||R_22||_F is within the same share; the block of Q is Q_0 Z_r and the
+    rows of W are R_r P^T, zero on I_j's own columns.  err^2 sums tail^2
+    and ||R_22||_F^2 over the rows, so sqrt of it is at most SKETCH_TOL
+    max(1, ||K||_F) / sqrt(2); err adds ROUNDING eps ||K||_F for rounding.
+    No step draws a random number.
+    """
+    N = kern.shape[0]
+    norm = float(np.linalg.norm(kern))
+    share = 0.5 * SKETCH_TOL * max(1.0, norm) / np.sqrt(sys.n)
+    nodes = np.concatenate(grid.nodes)
+    plan, err2 = [], 0.0
+    for j, m in enumerate(grid.sizes):
+        cols = np.r_[0:offsets[j], offsets[j + 1]:N]
+        u = joukowski_exterior(sys.to_unit(j, nodes[cols])).real
+        a = gsw[j, cols] * (4.0 / sys.half[j]) / (u - 1.0 / u)
+        norm_a = float(np.linalg.norm(a))
+        if norm_a == 0.0:  # no coupling into I_j: a zero block row
+            continue
+        rho = np.abs(u)
+        # the degree each column would need were it the nearest; the columns
+        # that need more than p are kept exactly, at the p that makes p plus
+        # their number, the rows of W0, least
+        need = np.ceil(np.log(np.sqrt(m) * norm_a / ((1.0 - 1.0 / rho) * share))
+                       / np.log(rho))
+        need[a == 0.0] = 0.0
+        ranked = np.append(np.sort(need)[::-1], 0.0)
+        p = max(int(ranked[np.argmin(ranked + np.arange(ranked.size))]), 1)
+        near = np.flatnonzero(need > p)
+        far = (need <= p) & (a != 0.0)
+        if p + near.size < m and np.any(far):
+            low = float(np.min(rho[far]))
+            tail = np.sqrt(m) * np.linalg.norm(a[far]) * low ** -p / (1.0 - 1.0 / low)
+            err2 += tail ** 2
+        plan.append((j, m, cols, u, np.where(far, a, 0.0), p, near))
+    # rows with no exact column share one QR of T per N_j, at their largest
+    # degree: the QR is nested, so its leading columns serve every lower one
+    depth = {}
+    for _, m, _, _, _, p, near in plan:
+        if near.size == 0 and p < m:
+            depth[m] = max(p, depth.get(m, 0))
+    factors = {m: np.linalg.qr(_chebyshev_T(m, p)) for m, p in depth.items()}
+    blocks, rows = [], []
+    for j, m, cols, u, a, p, near in plan:
+        own = slice(offsets[j], offsets[j + 1])
+        if p + near.size >= m:  # the grid does not resolve the gap: the exact row
+            q0, w0 = None, kern[own, cols]
+        else:  # the row is [T, exact columns] E
+            E = np.zeros((p + near.size, cols.size))
+            E[0] = 0.5
+            E[1:p] = 1.0 / u
+            np.multiply.accumulate(E[1:p], axis=0, out=E[1:p])  # u^-m, not a power
+            E[:p] *= a
+            E[p + np.arange(near.size), near] = 1.0
+            if near.size:
+                basis = np.hstack([_chebyshev_T(m, p), kern[own, cols[near]]])
+                q0, r0 = np.linalg.qr(basis)
+            else:
+                q0, r0 = factors[m]
+                q0, r0 = q0[:, :p], r0[:p, :p]
+            w0 = r0 @ E
+        z, r, perm = scipy.linalg.qr(w0, overwrite_a=True, mode="economic",
+                                     pivoting=True, check_finite=False)
+        # ||R_22||_F^2 of a cut at rank k, for every k
+        drop = np.append(np.cumsum(np.sum(r * r, axis=1)[::-1])[::-1], 0.0)
+        k = int(np.argmax(drop <= share ** 2))
+        err2 += drop[k]
+        w = np.zeros((k, N))
+        w[:, cols[perm]] = r[:k]
+        rows.append(w)
+        blocks.append((own, z[:, :k] if q0 is None else q0 @ z[:, :k]))
+    Q = np.zeros((N, sum(b.shape[1] for _, b in blocks)))
+    col = 0
+    for own, b in blocks:
+        Q[own, col: col + b.shape[1]] = b
+        col += b.shape[1]
+    W = np.vstack(rows) if rows else np.zeros((0, N))
+    return Q, W, float(np.sqrt(err2) + ROUNDING * np.finfo(float).eps * norm)
 
 
 def extreme_singular_values(ns: NystromSystem):
     """(sigma_min, sigma_max, err) of Id - K/lambda.
 
     K has zero diagonal blocks and smooth off-diagonal blocks, so it has
-    low numerical rank.  ``_assemble`` sketches the lambda-free K once: a
-    seeded randomized range finder (Halko-Martinsson-Tropp, SIAM Rev. 2011)
-    grows an orthonormal Q, SKETCH_BLOCK columns at a time, until
-    ||K - Q Q^T K||_F <= SKETCH_TOL max(1, ||K||_F) or Q spans the whole
-    space.  Here W = Q^T K / lambda and ``err = ||K/lambda - Q W||_F``.
+    low numerical rank.  ``_assemble`` sketches the lambda-free K once
+    (``_sketch``): an orthonormal, block-diagonal Q of k columns and rows W
+    with ||K - Q W||_F <= sketch_err <= SKETCH_TOL max(1, ||K||_F).  Here W
+    is scaled by 1/lambda and ``err = sketch_err / |lambda|``.
 
     Split W^H = Q (W Q)^H + X with X orthogonal to Q and X = V R its QR
     factorization.  On the span P of [Q, V] the operator Id - Q W acts as
@@ -471,13 +575,17 @@ def extreme_singular_values(ns: NystromSystem):
     B depends on V only through R^H R = X^H X, so a rank-deficient X needs
     no care.  When Q does not span the whole space, B fixes the null space
     of [W Q, R^H] (k equations in 2k unknowns), so its extremes already
-    bracket 1; when it does, B = I - W Q.  By Weyl's inequality each
+    bracket 1; when it does, B = I - W Q; when k = 0 (a zero K: diagonal
+    theta or one interval) both extremes are 1.  By Weyl's inequality each
     extreme differs from the dense value by at most err.
     """
     Q = ns.basis
     W = ns.rows / ns.lam
     WQ = W @ Q
     k = Q.shape[1]
+    err = ns.sketch_err / abs(ns.lam)
+    if k == 0:
+        return 1.0, 1.0, err
     if k == ns.size:
         B = np.eye(k) - WQ
     else:
@@ -486,7 +594,7 @@ def extreme_singular_values(ns: NystromSystem):
         B[:k, :k] -= WQ
         B[:k, k:] -= R.conj().T
     svals = np.linalg.svd(B, compute_uv=False)
-    return float(svals[-1]), float(svals[0]), ns.sketch_err / abs(ns.lam)
+    return float(svals[-1]), float(svals[0]), err
 
 
 def _checked_solve(ns: NystromSystem, b):

@@ -22,6 +22,7 @@ from mifht.gamma import (
 )
 from mifht import chebyshev as cheb
 from mifht.intervals import ABOVE, BELOW, unit_radical
+from mifht import solver
 from mifht.problems import _nojump_residuals
 from mifht.solver import (
     SIGMA_FLOOR,
@@ -494,6 +495,30 @@ def test_chopped_gamma_matches_the_full_density(request, monkeypatch, n, size, l
         slope = gam._series(pts, side, derivative=True)
         diff = np.max(np.abs(slope - full._series(pts, side, derivative=True)), axis=(1, 2))
         assert np.all(diff <= bound + 1e-15 * np.max(np.abs(slope)))
+
+
+RESOLUTION_CASES = {  # intervals, theta, nystrom; the chop of each moves by a mode
+    "n3": ([(-3.0, -2.0), (-1.0, 0.0), (1.0, 3.0)],
+           [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]], 256),
+    "n2-spd": ([(-2.0, -1.2), (-0.9, 0.4)], [[1.0, 0.4], [0.4, 1.0]], 96),
+    "n2-nonsymmetric": ([(-2.0, -1.2), (-0.9, 0.4)], [[1.0, 0.4], [-0.3, 1.0]], 130),
+    "n4": ([(-3.0, -2.2), (-1.9, -0.6), (-0.3, 0.5), (0.9, 2.4)],
+           [[1.0, 0.2, 0.1, -0.1], [0.2, 1.0, 0.2, 0.1], [0.1, 0.2, 1.0, 0.2],
+            [-0.1, 0.1, 0.2, 1.0]], 200),
+}
+
+
+@pytest.mark.parametrize("case", RESOLUTION_CASES)
+def test_density_modes_repeat_across_factor_precisions(monkeypatch, case):
+    # F from the refined float32 factor and from a float64 one agree to
+    # rounding; the chop of their densities may not, the report must
+    intervals, theta, size = RESOLUTION_CASES[case]
+    ns = assemble_K(make_interval_system(intervals), ThetaMatrix(theta), size=size)
+    single = GammaSolution(ns)
+    monkeypatch.setattr(solver, "SINGLE_KAPPA", 0.0)
+    double = GammaSolution(ns)
+    assert (single.f_solve["factor"], double.f_solve["factor"]) == ("float32", "float64")
+    assert single.density_resolution() == double.density_resolution()
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0 + 1.0j])

@@ -22,7 +22,6 @@ from mifht.problems import parse_problem, run_command
 from mifht.solver import (
     DEGENERATE,
     INVERTIBLE_DIAGONAL,
-    SKETCH_BLOCK,
     SKETCH_TOL,
     SPD,
     SYMMETRIC_INVERTIBLE,
@@ -369,15 +368,14 @@ def test_the_memoized_sketch_returns_the_cold_values_at_any_lambda():
         assert got == extreme_singular_values(assemble_K(sys, theta, size=96, lam=lam))
 
 
-def test_each_operator_runs_its_range_finder_once(monkeypatch):
-    # at gap 0.01 the first block leaves err ~ 1e-10 and the second ~ 1e-16:
-    # a target that scaled with |lambda| would stop after one block at
-    # lambda = 1e5 and need a second run at lambda = 1
+def test_each_operator_is_sketched_once(monkeypatch):
+    # the sketch is made at the lambda-free target SKETCH_TOL max(1, ||K||_F),
+    # so no lambda, however far from 1, asks for a second one
     sys = make_interval_system([(-1.0, 0.0), (0.01, 1.0)])
     theta = ThetaMatrix([[1.0, 0.5], [0.5, 1.0]])
-    finder, runs = solver._range_finder, []
-    monkeypatch.setattr(solver, "_range_finder",
-                        lambda *args: runs.append(args) or finder(*args))
+    sketch, runs = solver._sketch, []
+    monkeypatch.setattr(solver, "_sketch",
+                        lambda *args: runs.append(args) or sketch(*args))
     ops = [assemble_K(sys, theta, size=96, lam=lam) for lam in (1e5, 1.0, 1e-3, 0.7 + 0.4j)]
     for ns in ops:
         extreme_singular_values(ns)
@@ -527,8 +525,7 @@ SIGMA_CASES = {  # intervals, off-diagonal theta, nystrom size, lambda
     "gap-0.01": ([(-1.0, 0.0), (0.01, 1.0)], 0.5, 256, 1.0),
     "complex-lambda": (N3, 0.5, 128, 0.7 + 0.4j),
     "negative-lambda": (N3, 0.5, 128, -2.0),
-    "whole-space": ([(-1.0, 0.0), (0.01, 1.01)], 0.5, 30, 1.0),
-    "smaller-than-a-block": ([(-2.0, -1.0), (1.0, 2.0)], 0.5, 8, 1.0),
+    "whole-space": ([(-1.0, 0.0), (0.01, 1.01)], 0.5, 4, 1.0),
 }
 
 
@@ -543,10 +540,51 @@ def test_extreme_singular_values_match_dense_svd(case):
     assert abs(sigma_max - dense_max) <= 1e-12
     assert err <= SKETCH_TOL * max(1.0, np.linalg.norm(ns.kernel / ns.lam))
     assert extreme_singular_values(ns) == (sigma_min, sigma_max, err)
-    if case in ("whole-space", "smaller-than-a-block"):
-        # Q spans the whole space, over two blocks for whole-space: B = I - W Q
+    if case == "whole-space":
+        # each exact 4 x 4 block row keeps its full rank: B = I - W Q
         assert ns.sketch["rank"] == ns.size
-        assert (ns.size > SKETCH_BLOCK) == (case == "whole-space")
+
+
+# at nystrom 64 the first two gaps take the pure expansion, the last two also
+# the branches with exact columns and with exact block rows
+SKETCH_GAPS = (1.0, 0.2, 0.01, 1e-3)
+SKETCH_LENGTHS = (1.0, 0.5, 2.0, 0.8)
+SKETCH_THETAS = {
+    "spd": lambda n: _theta_off(n, 0.3),
+    "non-symmetric": lambda n: ThetaMatrix(np.eye(n) + 0.4 * np.triu(np.ones((n, n)), 1)
+                                           - 0.25 * np.tril(np.ones((n, n)), -1)),
+    "diagonal": lambda n: ThetaMatrix(np.diag([1.0, -2.0, 0.5, 3.0][:n])),
+}
+
+
+def _sketch_case(gap, n, kind):
+    ends, left = [], -1.0
+    for length in SKETCH_LENGTHS[:n]:
+        ends.append((left, left + length))
+        left += length + gap
+    return make_interval_system(ends), SKETCH_THETAS[kind](n)
+
+
+@pytest.mark.parametrize("lam", [1.0, -0.7 + 0.4j])
+@pytest.mark.parametrize("kind", sorted(SKETCH_THETAS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("gap", SKETCH_GAPS)
+def test_the_sketch_bounds_its_error_and_gives_the_dense_sigmas(gap, n, kind, lam):
+    sys, theta = _sketch_case(gap, n, kind)
+    ns = assemble_K(sys, theta, size=64, lam=lam)
+    K, Q, W = ns.kernel, ns.basis, ns.rows
+    assert np.linalg.norm(K - Q @ W) <= ns.sketch_err
+    assert ns.sketch_err <= SKETCH_TOL * max(1.0, np.linalg.norm(K))
+    assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])), initial=0.0) <= 1e-14
+    assert (ns.sketch["rank"] == 0) == (n == 1 or kind == "diagonal")
+    sigma_min, sigma_max, _ = extreme_singular_values(ns)
+    dense_min, dense_max = _dense_sigmas(ns)
+    assert abs(sigma_min - dense_min) <= 1e-12
+    assert abs(sigma_max - dense_max) <= 1e-12
+    clear_kernel_cache()
+    again = assemble_K(sys, theta, size=64, lam=lam)
+    assert np.array_equal(again.basis, Q) and np.array_equal(again.rows, W)
+    assert again.sketch_err == ns.sketch_err
 
 
 def test_extreme_singular_values_of_zero_kernel_are_one(sys3):
