@@ -21,8 +21,10 @@ and the plain-T transforms h_n(s) = (1/pi) PV int T_n/(t-s) dt satisfy
     h_0 = (1/pi) log((1-s)/(1+s)),  h_1 = 2/pi + s h_0,
     h_{n+1} = 2 tau_n / pi + 2 s h_n - h_{n-1},   tau_n = int T_n dt.
 
-The forward recurrence is marginally stable on the cut (|u| = 1) and is
-only used there; off-cut plain transforms go through panel quadrature.
+Off the cut h_0 = (1/pi) log((z-1)/(z+1)) and the same recurrence holds,
+so sum b_n h_n(z) is the closed form (1/pi)[p(z) log((z-1)/(z+1)) +
+int (p(t) - p(z))/(t - z) dt].  Its rounding grows like |u|^n; where that
+growth would show, ``fht_plain`` integrates with one Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -50,13 +52,15 @@ def cheb1_nodes(N):
 
 def cheb2_nodes(N):
     """Gauss nodes of U_N: cos(pi (q+1) / (N+1)), ascending."""
-    q = np.arange(1, N + 1)
-    return np.cos(np.pi * q / (N + 1))[::-1].copy()
+    return np.cos(_cheb2_theta(N))[::-1].copy()
 
 
 @lru_cache(maxsize=64)
 def _cheb2_theta(N):
-    return np.pi * np.arange(1, N + 1) / (N + 1)
+    """Angles pi q / (N+1), q = 1..N, of the Chebyshev-2 nodes (read-only)."""
+    theta = np.pi * np.arange(1, N + 1) / (N + 1)
+    theta.flags.writeable = False
+    return theta
 
 
 def chebT_coeffs(values):
@@ -208,13 +212,18 @@ def chebU_to_T(a):
     return b
 
 
+def _chebT_moments(N):
+    """tau_n = int_{-1}^{1} T_n ds for n < N: 2/(1-n^2) for even n, else 0."""
+    tau = np.zeros(N)
+    n = np.arange(0, N, 2)
+    tau[::2] = 2.0 / (1.0 - n * n)
+    return tau
+
+
 def chebT_integral(b):
-    """int_{-1}^{1} sum b_n T_n ds  (tau_n = 2/(1-n^2) for even n, else 0)."""
+    """int_{-1}^{1} sum b_n T_n ds."""
     b = np.asarray(b)
-    n = np.arange(b.shape[0])
-    tau = np.where(n % 2 == 0, 2.0 / (1.0 - n.astype(float) ** 2 + (n % 2)), 0.0)
-    tau[1::2] = 0.0
-    return b @ tau
+    return b @ _chebT_moments(b.shape[0])
 
 
 def chebU_integral(a):
@@ -278,72 +287,62 @@ def fht_weighted_pv(a, s):
     return clenshaw_T(b, s)
 
 
-def fht_plain_pv(b, s):
-    """PV transform of a plain T series at real s in (-1, 1).
-
-    Runs the inhomogeneous Chebyshev recurrence for h_n upward; on the cut
-    both homogeneous solutions have modulus one, so the error growth is
-    only O(n eps).
-    """
-    b = np.asarray(b)
-    s = np.asarray(s, dtype=float)
-    if np.any((s <= -1.0) | (s >= 1.0)):
-        raise DomainError("fht_plain_pv requires points strictly inside (-1,1)")
-    L = np.log((1.0 - s) / (1.0 + s)) / np.pi
-    h_prev = L
-    acc = b[0] * h_prev
-    if b.shape[0] == 1:
-        return acc
-    h_cur = 2.0 / np.pi + s * L
-    acc = acc + b[1] * h_cur
-    for n in range(1, b.shape[0] - 1):
-        tau = 0.0 if n % 2 else 2.0 / (1.0 - n * n)
-        h_prev, h_cur = h_cur, 2.0 * tau / np.pi + 2.0 * s * h_cur - h_prev
-        acc = acc + b[n + 1] * h_cur
-    return acc
-
-
 @lru_cache(maxsize=8)
 def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-# panel quadrature of cauchy_plain_offcut: Bernstein parameter a panel needs,
-# Gauss-Legendre order per panel, and bisection depth limit
-PANEL_RHO = 1.9
-PANEL_ORDER = 32
-PANEL_MAX_DEPTH = 14
+def fht_plain(b, z, side=None):
+    """(1/pi) int_{-1}^{1} p(t)/(t - z) dt for the plain T series p = sum b_n T_n.
 
-
-def cauchy_plain_offcut(eval_fn, targets):
-    """(1/pi) int_{-1}^{1} p(t)/(t - z) dt for targets z off the cut.
-
-    Panel bisection: a panel is integrated with Gauss-Legendre once every
-    target is outside its Bernstein ellipse of parameter ``PANEL_RHO``; the
-    geometric convergence rate then bounds the error at
-    ~PANEL_RHO^(-2 PANEL_ORDER).  Targets closer than ~2^-PANEL_MAX_DEPTH to
-    [-1, 1] lose accuracy gracefully.
+    Real z in (-1, 1) gives the PV, or with ``side`` (+1/-1) the boundary
+    value from above/below, PV + i side p(z); any other z gives the Cauchy
+    integral.  The recurrence of the module docstring runs upward from h_0
+    (which carries the i side) at every target where max_n |b_n| |u|^n <=
+    128 max_n |b_n|: its rounding grows like |u|^n, so it stays within about
+    two digits of eps there, the cut included.  The other targets take one
+    Gauss-Legendre rule of m = (deg + 1)/2 + log(1/eps) / (2 log rho) + 4
+    nodes, rounded up to a power of two, with rho the least |u| among them.
+    It integrates (p(t) - p(z))/(t - z) exactly, and its error on
+    p(z)/(t - z), about |p(z)| rho^(-2m), falls below eps.
     """
-    targets = np.asarray(targets, dtype=complex)
-    out = np.zeros(targets.shape, dtype=complex)
-    xg, wg = _gauss_legendre(PANEL_ORDER)
+    b = np.asarray(b)
+    x = np.asarray(z)
+    real_axis = x.imag == 0.0
+    if np.any(real_axis & (np.abs(x.real) == 1.0)):
+        raise DomainError("fht_plain is singular at the endpoints +-1")
+    on_cut = real_axis & (np.abs(x.real) < 1.0)
+    logu = np.zeros(x.shape)
+    logu[~on_cut] = np.log(np.abs(joukowski_exterior(x[~on_cut])))
+    with np.errstate(divide="ignore"):
+        logb = np.log(np.abs(b))
+    growth = np.max(logb[:, None] + np.arange(b.shape[0])[:, None] * logu.ravel(), axis=0)
+    quad = growth.reshape(x.shape) > np.log(128.0) + np.max(logb)
+    dtype = np.result_type(b, x, float, complex if side is not None else float)
+    out = np.empty(x.shape, dtype=dtype)
 
-    stack = [(-1.0, 1.0, 0)]
-    while stack:
-        a, b, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        hw = 0.5 * (b - a)
-        sp = (targets - mid) / hw
-        rho = np.min(np.abs(joukowski_exterior(sp)))
-        if rho >= PANEL_RHO or depth >= PANEL_MAX_DEPTH:
-            nodes = mid + hw * xg
-            vals = eval_fn(nodes) * (hw * wg)
-            out += (vals[:, None] / (nodes[:, None] - targets.ravel()[None, :])
-                    ).sum(axis=0).reshape(targets.shape)
-        else:
-            stack.append((a, mid, depth + 1))
-            stack.append((mid, b, depth + 1))
-    return out / np.pi
+    rec = ~quad
+    xr = x[rec]
+    ratio = (1.0 - xr) / (1.0 + xr)
+    h_prev = np.log(np.abs(ratio))
+    if np.iscomplexobj(out):
+        h_prev = h_prev + 1j * np.where(on_cut[rec], np.pi * (side or 0), np.angle(-ratio))
+    h_prev = h_prev / np.pi
+    acc = b[0] * h_prev
+    if b.shape[0] > 1:
+        tau = _chebT_moments(b.shape[0])
+        h_cur = 2.0 / np.pi + xr * h_prev
+        acc = acc + b[1] * h_cur
+        for n in range(1, b.shape[0] - 1):
+            h_prev, h_cur = h_cur, 2.0 * tau[n] / np.pi + 2.0 * xr * h_cur - h_prev
+            acc = acc + b[n + 1] * h_cur
+    out[rec] = acc
+    if np.any(quad):
+        m = int(np.ceil(0.5 * b.shape[0] + np.log(1.0 / np.finfo(float).eps)
+                        / (2.0 * np.min(logu[quad])))) + 4
+        xg, wg = _gauss_legendre(1 << (m - 1).bit_length())
+        out[quad] = (clenshaw_T(b, xg) * wg) @ (1.0 / (xg[:, None] - x[quad])) / np.pi
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebyshev import _gauss_legendre
+from .chebyshev import _cheb2_theta, _gauss_legendre
 from .errors import ConvergenceError, DomainError
 from .intervals import IntervalSystem
 
@@ -73,7 +73,7 @@ def chebyshev2_grid(sys: IntervalSystem, M) -> QuadratureGrid:
     sizes = _sizes(sys, M)
     nodes, weights, sqrtw = [], [], []
     for j, m in enumerate(sizes):
-        theta = np.pi * np.arange(1, m + 1) / (m + 1)
+        theta = _cheb2_theta(m)
         s = np.cos(theta)[::-1]
         sin_t = np.sin(theta)[::-1]
         h = sys.half[j]

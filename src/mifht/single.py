@@ -74,16 +74,7 @@ def fht_forward(f: PiecewiseFunction, points, j=0, side=None):
             u = joukowski_exterior(_offcut_arg(s[~inside]))
             out[~inside] = h * cheb.fht_weighted_offcut(a, u)
     else:
-        b = f.coeffs[j]
-        if np.any(inside):
-            si = s[inside].real
-            pv = cheb.fht_plain_pv(b, si)
-            if side in (ABOVE, BELOW):
-                pv = pv + 1j * side * cheb.clenshaw_T(b, si)
-            out[inside] = pv
-        if np.any(~inside):
-            out[~inside] = cheb.cauchy_plain_offcut(
-                lambda t: cheb.clenshaw_T(b, t), _offcut_arg(s[~inside]))
+        out[:] = cheb.fht_plain(f.coeffs[j], _offcut_arg(s), side)
     if f.field == "real" and side is None and np.all(inside):
         out = out.real
     return out if np.ndim(points) else out[0]
@@ -136,7 +127,7 @@ def _invert_coeffs(f: PiecewiseFunction, j, presubtract=0.0):
         # the subtracted constant is annihilated by the PV kernel on the cut
         p_T = cheb.chebU_to_T(f.coeffs[j])
         s = cheb.cheb2_nodes(max(4 * p_T.shape[0], 96))
-        smooth_vals = -cheb.fht_plain_pv(p_T, s)
+        smooth_vals = -cheb.fht_plain(p_T, s)
         a = cheb.chebU_coeffs(smooth_vals)
         return np.asarray(a, dtype=complex)
     b = f.coeffs[j]
@@ -172,23 +163,18 @@ def fht_invert(g: PiecewiseFunction, points=None, j=0, presubtract=0.0,
 
     z, s, inside = _classify_points(g.sys, j, points)
     out = np.zeros(z.shape, dtype=complex)
-    if np.any(inside):
-        if g.weighted:
-            # direct PV evaluation; exact where the projected series is not
-            p_T = cheb.chebU_to_T(g.coeffs[j])
-            si = s[inside].real
-            w = g.sys.weight(j, z[inside].real)
-            out[inside] = -w * cheb.fht_plain_pv(p_T, si)
-        else:
+    if g.weighted:
+        # direct transform of the polynomial part, PV on the cut; exact
+        # where the projected series is not
+        cpart = cheb.fht_plain(cheb.chebU_to_T(g.coeffs[j]), _offcut_arg(s))
+        out[inside] = -g.sys.weight(j, z[inside].real) * cpart[inside]
+        rad = g.sys.half[j] * unit_radical(_offcut_arg(s[~inside]))
+        out[~inside] = 1j * rad * cpart[~inside] + 1j * presubtract
+    else:
+        if np.any(inside):
             out[inside] = result.piece_values(0, z[inside].real)
-    if np.any(~inside):
-        so = _offcut_arg(s[~inside])
-        if g.weighted:
-            p_T = cheb.chebU_to_T(g.coeffs[j])
-            cpart = cheb.cauchy_plain_offcut(lambda t: cheb.clenshaw_T(p_T, t), so)
-            rad = g.sys.half[j] * unit_radical(so)
-            out[~inside] = 1j * rad * cpart + 1j * presubtract
-        else:
+        if np.any(~inside):
+            so = _offcut_arg(s[~inside])
             b = g.coeffs[j]
             powers = cheb.exterior_powers(joukowski_exterior(so), b.shape[0] - 1)
             acc = b[0] - presubtract + np.tensordot(b[1:], powers, axes=1)

@@ -361,7 +361,7 @@ def memo_at_lambda(ns: NystromSystem, build):
 
 def _node_angles(m):
     """theta of the m Chebyshev-2 nodes s = cos(theta), in ascending s."""
-    return np.pi * np.arange(m, 0, -1) / (m + 1)
+    return cheb._cheb2_theta(m)[::-1].copy()
 
 
 def _chebyshev_T(m, p):

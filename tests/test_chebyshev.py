@@ -5,7 +5,6 @@ import pytest
 from mifht import DomainError, PiecewiseFunction, cheb_eval, cheb_project
 from mifht import make_interval_system
 from mifht.chebyshev import (
-    cauchy_plain_offcut,
     cheb1_nodes,
     cheb2_nodes,
     chebT_coeffs,
@@ -19,7 +18,7 @@ from mifht.chebyshev import (
     clenshaw_T,
     clenshaw_U,
     exterior_powers,
-    fht_plain_pv,
+    fht_plain,
     fht_weighted_offcut,
     fht_weighted_pv,
 )
@@ -284,7 +283,7 @@ def test_plain_pv_recurrence_vs_oracle():
     b = rng.standard_normal(10) * 0.5 ** np.arange(10)
     fn = lambda t: clenshaw_T(b, t)
     for s in (-0.62, 0.11, 0.83):
-        spectral = np.sum(b * 0) + fht_plain_pv(b, np.array([s]))[0]
+        spectral = np.sum(b * 0) + fht_plain(b, np.array([s]))[0]
         oracle = pv_oracle(fn, (-1, 1), s)
         assert spectral == pytest.approx(oracle, abs=2e-11)
 
@@ -296,13 +295,62 @@ def test_cauchy_plain_offcut_vs_quadrature():
     b = rng.standard_normal(8) * 0.6 ** np.arange(8)
     fn = lambda t: clenshaw_T(b, t)
     targets = np.array([1.8, -3.0, 0.5 + 0.8j, 1.02])
-    vals = cauchy_plain_offcut(fn, targets)
+    vals = fht_plain(b, targets)
     for tgt, got in zip(targets, vals):
         re = quad(lambda t: (fn(t) / (t - tgt)).real, -1, 1,
                   limit=400, epsabs=1e-13)[0]
         im = quad(lambda t: (fn(t) / (t - tgt)).imag, -1, 1,
                   limit=400, epsabs=1e-13)[0]
         assert got == pytest.approx((re + 1j * im) / np.pi, abs=5e-12)
+
+
+def _cauchy_plain_references(b, targets):
+    """(1/pi) int p(t)/(t - z) dt in mpmath: the closed form where |u| <= 1.05,
+    a direct mp.quad elsewhere (p is cached at the shared tanh-sinh nodes)."""
+    bm = [mpmath.mpf(float(c)) for c in b]
+    cache = {}
+
+    def p(t):
+        if t not in cache:
+            c0 = c1 = mpmath.mpf(0)
+            for c in bm[::-1]:
+                c0, c1 = c + 2 * t * c0 - c1, c0
+            cache[t] = c0 - t * c1
+        return cache[t]
+
+    out = []
+    with mpmath.workdps(40):
+        for z in map(complex, targets):
+            z = mpmath.mpc(z)
+            if abs(z + mpmath.sqrt(z - 1) * mpmath.sqrt(z + 1)) > 1.05:
+                with mpmath.workdps(20):
+                    out.append(complex(mpmath.quad(lambda t: p(t) / (t - z), [-1, 1])
+                                       / mpmath.pi))
+                continue
+            # p(z) log((z-1)/(z+1)) + int (p(t) - p(z))/(t - z) dt as the upward
+            # recurrence: it loses at most log10(1.05^150) ~ 3 of the 40 digits
+            h_prev = mpmath.log((z - 1) / (z + 1))
+            h_cur = 2 + z * h_prev
+            val = bm[0] * h_prev + bm[1] * h_cur
+            for n in range(1, len(bm) - 1):
+                tau = 0 if n % 2 else mpmath.mpf(2) / (1 - n * n)
+                h_prev, h_cur = h_cur, 2 * tau + 2 * z * h_cur - h_prev
+                val += bm[n + 1] * h_cur
+            out.append(complex(val / mpmath.pi))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("deg", [5, 150])
+@pytest.mark.parametrize("decay", [0.8, 1.0], ids=["geometric", "flat"])
+def test_fht_plain_matches_mpmath_near_and_far_from_the_cut(deg, decay):
+    rng = np.random.default_rng(deg)
+    b = rng.standard_normal(deg + 1) * decay ** np.arange(deg + 1)
+    d = 10.0 ** -np.array([0, 1, 2, 3, 4, 6, 8, 10, 12])
+    targets = np.concatenate([1 + d, -1 - d, 0.3 + 1j * d, 0.999 - 1j * d, 3 + 1j * d])
+    got = fht_plain(b, targets)
+    ref = _cauchy_plain_references(b, targets)
+    scale = np.maximum(1.0, np.abs(ref)) if decay < 1 else np.sum(np.abs(b))
+    assert np.max(np.abs(got - ref) / scale) <= 1e-13
 
 
 def test_piecewise_eval_and_norm():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mifht import make_interval_system, pv_oracle
+from mifht.chebyshev import _cheb2_theta, cheb2_nodes
+from mifht.solver import _node_angles
 from mifht.errors import DomainError
 from mifht.quadrature import (
     GAUSS_CHEBYSHEV_1,
@@ -40,8 +42,18 @@ def test_chebyshev2_grid_sqrt_weights(sys2):
     # int w dx = pi h^2 / 2
     g = chebyshev2_grid(sys2, 16)
     assert g.family == GAUSS_CHEBYSHEV_2
+    # the angles are the shared cached table, bit for bit pi q / 17
+    theta = np.pi * np.arange(1, 17) / 17
+    np.testing.assert_array_equal(_cheb2_theta(16), theta)
+    assert not _cheb2_theta(16).flags.writeable
+    np.testing.assert_array_equal(cheb2_nodes(16), np.cos(theta)[::-1])
+    np.testing.assert_array_equal(_node_angles(16), theta[::-1])
     for j in range(2):
         h = sys2.half[j]
+        np.testing.assert_array_equal(g.nodes[j], sys2.from_unit(j, np.cos(theta)[::-1]))
+        np.testing.assert_array_equal(g.weights[j], h * np.pi * np.sin(theta)[::-1] / 17)
+        np.testing.assert_array_equal(g.sqrt_weights[j],
+                                      h * h * np.pi * np.sin(theta)[::-1] ** 2 / 17)
         assert np.sum(g.sqrt_weights[j]) == pytest.approx(np.pi * h * h / 2,
                                                           rel=1e-13)
         # the plain weights are exact for the w * polynomial class:

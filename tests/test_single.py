@@ -98,6 +98,18 @@ def test_forward_side_values_plemelj(unit):
                                             abs=1e-13)
 
 
+def test_forward_plain_offcut_tends_to_the_boundary_values(unit):
+    # H[f](s + i side d) -> H[f](s, side) as d -> 0, with a gap of about
+    # |dH/dz| d: the Cauchy transform has bounded derivative near an interior s
+    f = PiecewiseFunction.from_callable(unit, np.exp, N=20)
+    for s in (-0.6, 0.3, 0.85):
+        for side in (ABOVE, BELOW):
+            boundary = fht_forward(f, s, side=side)
+            for d in 10.0 ** -np.arange(2, 13):
+                gap = abs(fht_forward(f, s + side * 1j * d) - boundary)
+                assert gap <= 10.0 * d
+
+
 def test_forward_reality_on_interval(unit):
     f = random_weighted(unit, 16, seed=15)
     vals = fht_forward(f, np.linspace(-0.9, 0.9, 11))
