@@ -25,6 +25,10 @@ Off the cut h_0 = (1/pi) log((z-1)/(z+1)) and the same recurrence holds,
 so sum b_n h_n(z) is the closed form (1/pi)[p(z) log((z-1)/(z+1)) +
 int (p(t) - p(z))/(t - z) dt].  Its rounding grows like |u|^n; where that
 growth would show, ``fht_plain`` integrates with one Gauss-Legendre rule.
+
+Each class has one Cauchy transform, ``fht_weighted`` and ``fht_plain``:
+the PV on the cut, either boundary value with a side, and the Cauchy
+integral anywhere else.
 """
 
 from __future__ import annotations
@@ -220,6 +224,21 @@ def _chebT_moments(N):
     return tau
 
 
+def _unit_l2_squared(c, weighted):
+    """int_{-1}^{1} |p|^2 ds for p = sum c_n T_n, or p = w sum c_k U_k if weighted.
+
+    int T_m T_n = (tau_{m+n} + tau_{|m-n|})/2, and with s = cos(theta)
+    int w^2 U_m U_n = int_0^pi sin((m+1) theta) sin((n+1) theta) sin(theta)
+    dtheta = (tau_{|m-n|} - tau_{m+n+2})/2; the double sums run over the
+    convolution (m + n) and the correlation (m - n) of c with its conjugate.
+    """
+    n = c.shape[0]
+    tau = _chebT_moments(2 * n + 1)
+    lags = np.correlate(c, c, "full") @ tau[np.abs(np.arange(1 - n, n))]
+    sums = np.convolve(c, np.conj(c)) @ (-tau[2:] if weighted else tau[:-2])
+    return max(0.5 * float(np.real(lags + sums)), 0.0)
+
+
 def chebT_integral(b):
     """int_{-1}^{1} sum b_n T_n ds."""
     b = np.asarray(b)
@@ -269,22 +288,28 @@ def exterior_powers(u, K):
     return out
 
 
-def fht_weighted_offcut(a, u):
-    """-(sum_k a_k u^{-(k+1)}) for the weighted class; valid anywhere.
+def fht_weighted(a, z, side=None):
+    """(1/pi) int_{-1}^{1} w(t) q(t)/(t - z) dt for q = sum a_k U_k, w = sqrt(1 - t^2).
 
-    ``u`` is the exterior Joukowski coordinate of the target (with a side
-    chosen when the target sits on the cut).
+    Real z in (-1, 1) gives the PV -sum a_k T_{k+1}(z), or with ``side``
+    (+1/-1) the boundary value from above/below; any other z gives the
+    Cauchy integral.  Those are -sum a_k u^{-(k+1)}, with the exterior
+    Joukowski u taken on the side asked for at every point of the cut, the
+    real points of a complex array included.
     """
     a = np.asarray(a)
-    return -np.tensordot(a, exterior_powers(u, a.shape[0]), axes=1)
-
-
-def fht_weighted_pv(a, s):
-    """PV value -sum a_k T_{k+1}(s) on the cut (real s in (-1,1))."""
-    a = np.asarray(a)
-    b = np.zeros(a.shape[0] + 1, dtype=a.dtype)
-    b[1:] = -a
-    return clenshaw_T(b, s)
+    x = np.asarray(z)
+    on_cut = (x.imag == 0.0) & (np.abs(x.real) < 1.0)
+    pv = on_cut & (side is None)
+    out = np.empty(x.shape, dtype=np.result_type(a, float, float if np.all(pv) else complex))
+    if np.any(pv):
+        out[pv] = clenshaw_T(np.concatenate([[0.0], -a]), x[pv].real)
+    # unit_radical takes a side on real points only: the cut goes in as real
+    for part, s in ((on_cut & ~pv, x.real), (~on_cut, x)):
+        if np.any(part):
+            u = joukowski_exterior(s[part], side)
+            out[part] = -np.tensordot(a, exterior_powers(u, a.shape[0]), axes=1)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -424,7 +449,7 @@ class PiecewiseFunction:
             v = np.asarray(values[j])
             s = system.to_unit(j, x)
             m = min(N, max(4, x.size // 2))
-            design = np.stack([clenshaw_T(np.eye(m)[k], s) for k in range(m)], axis=1)
+            design = np.polynomial.chebyshev.chebvander(s, m - 1)
             c, *_ = np.linalg.lstsq(design, v, rcond=None)
             coeffs.append(c)
         return cls(system, coeffs)
@@ -462,13 +487,10 @@ class PiecewiseFunction:
 
     @cached_property
     def _piece_norms(self):
-        """L2 norm of every piece by Gauss-Legendre, taken once per instance."""
-        out = []
-        for j, c in enumerate(self.coeffs):
-            xg, wg = _gauss_legendre(max(2 * c.shape[0] + 16, 48))
-            v = self.piece_values(j, self.sys.from_unit(j, xg))
-            out.append(float(np.sqrt(np.sum(wg * np.abs(v) ** 2) * self.sys.half[j])))
-        return out
+        """L2 norm of every piece in closed form (dx = h ds, weight h w)."""
+        p = 3 if self.weighted else 1
+        return [float(np.sqrt(h ** p * _unit_l2_squared(c, self.weighted)))
+                for h, c in zip(self.sys.half, self.coeffs)]
 
     def piece_norm2(self, j):
         return self._piece_norms[j]

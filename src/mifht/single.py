@@ -25,7 +25,7 @@ import numpy as np
 from . import chebyshev as cheb
 from .chebyshev import PiecewiseFunction
 from .errors import DomainError, NonFiniteError, RangeError
-from .intervals import ABOVE, BELOW, IntervalSystem, joukowski_exterior, unit_radical
+from .intervals import ABOVE, IntervalSystem, unit_radical
 
 _ENDPOINT_TOL = 1e-13
 
@@ -48,7 +48,8 @@ def _classify_points(sys: IntervalSystem, j, points):
     if np.any(at_end):
         raise DomainError("evaluation exactly at an interval endpoint")
     inside = on_axis & (np.abs(s.real) < 1.0)
-    return z, s, inside
+    # drop a spurious zero imaginary part so the branch logic sees real points
+    return z, (s.real if np.all(on_axis) else s), inside
 
 
 def fht_forward(f: PiecewiseFunction, points, j=0, side=None):
@@ -58,33 +59,15 @@ def fht_forward(f: PiecewiseFunction, points, j=0, side=None):
     on the cut.  Points inside other intervals of the system are ordinary
     off-cut evaluations here.
     """
-    z, s, inside = _classify_points(f.sys, j, points)
-    out = np.zeros(z.shape, dtype=complex)
-    h = f.sys.half[j]
+    _, s, inside = _classify_points(f.sys, j, points)
     if f.weighted:
-        a = f.coeffs[j]
-        if np.any(inside):
-            si = s[inside].real
-            if side in (ABOVE, BELOW):
-                u = joukowski_exterior(si, side)
-                out[inside] = h * cheb.fht_weighted_offcut(a, u)
-            else:
-                out[inside] = h * cheb.fht_weighted_pv(a, si)
-        if np.any(~inside):
-            u = joukowski_exterior(_offcut_arg(s[~inside]))
-            out[~inside] = h * cheb.fht_weighted_offcut(a, u)
+        out = f.sys.half[j] * cheb.fht_weighted(f.coeffs[j], s, side)
     else:
-        out[:] = cheb.fht_plain(f.coeffs[j], _offcut_arg(s), side)
+        out = cheb.fht_plain(f.coeffs[j], s, side)
+    out = out.astype(complex, copy=False)
     if f.field == "real" and side is None and np.all(inside):
         out = out.real
     return out if np.ndim(points) else out[0]
-
-
-def _offcut_arg(s):
-    # drop a spurious zero imaginary part so the branch logic sees real points
-    if np.all(s.imag == 0.0):
-        return s.real
-    return s
 
 
 def range_scan(f: PiecewiseFunction, j=0) -> RangeData:
@@ -162,23 +145,19 @@ def fht_invert(g: PiecewiseFunction, points=None, j=0, presubtract=0.0,
         return result
 
     z, s, inside = _classify_points(g.sys, j, points)
-    out = np.zeros(z.shape, dtype=complex)
     if g.weighted:
         # direct transform of the polynomial part, PV on the cut; exact
-        # where the projected series is not
-        cpart = cheb.fht_plain(cheb.chebU_to_T(g.coeffs[j]), _offcut_arg(s))
-        out[inside] = -g.sys.weight(j, z[inside].real) * cpart[inside]
-        rad = g.sys.half[j] * unit_radical(_offcut_arg(s[~inside]))
-        out[~inside] = 1j * rad * cpart[~inside] + 1j * presubtract
+        # where the projected series is not.  On the cut i h R_+ = -w_phys
+        cpart = cheb.fht_plain(cheb.chebU_to_T(g.coeffs[j]), s)
+        out = 1j * g.sys.half[j] * unit_radical(s, ABOVE) * cpart
+        out[~inside] += 1j * presubtract
     else:
+        out = np.zeros(z.shape, dtype=complex)
         if np.any(inside):
             out[inside] = result.piece_values(0, z[inside].real)
         if np.any(~inside):
-            so = _offcut_arg(s[~inside])
             b = g.coeffs[j]
-            powers = cheb.exterior_powers(joukowski_exterior(so), b.shape[0] - 1)
-            acc = b[0] - presubtract + np.tensordot(b[1:], powers, axes=1)
-            out[~inside] = -1j * acc
+            out[~inside] = -1j * (b[0] - presubtract - cheb.fht_weighted(b[1:], s[~inside]))
     return out if np.ndim(points) else out[0]
 
 
@@ -199,19 +178,8 @@ def invert_with_kappa(g: PiecewiseFunction, points, j=0, kappa=None, presub=0.0)
     b = np.asarray(g.coeffs[j], dtype=complex).copy()
     b[0] -= presub
     a_w = _t_to_u(b)  # smooth part of (g - c) in the U basis
-    z, s, inside = _classify_points(g.sys, j, points)
-    out = np.zeros(z.shape, dtype=complex)
-    if np.any(inside):
-        si = s[inside].real
-        gval = 1j * h * cheb.fht_weighted_pv(a_w, si)
-        rad = 1j * h * np.sqrt(1.0 - si ** 2)
-        out[inside] = -(gval + kappa) / rad
-    if np.any(~inside):
-        so = _offcut_arg(s[~inside])
-        u = joukowski_exterior(so)
-        gval = 1j * h * cheb.fht_weighted_offcut(a_w, u)
-        rad = h * unit_radical(so)
-        out[~inside] = -(gval + kappa) / rad
+    s = _classify_points(g.sys, j, points)[1]
+    out = -(1j * h * cheb.fht_weighted(a_w, s) + kappa) / (h * unit_radical(s, ABOVE))
     return out if np.ndim(points) else out[0]
 
 

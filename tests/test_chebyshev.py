@@ -19,8 +19,7 @@ from mifht.chebyshev import (
     clenshaw_U,
     exterior_powers,
     fht_plain,
-    fht_weighted_offcut,
-    fht_weighted_pv,
+    fht_weighted,
 )
 from mifht.intervals import ABOVE, BELOW, joukowski_exterior
 
@@ -264,7 +263,7 @@ def test_weighted_pv_matches_closed_form():
     for k in (1, 2, 5):
         a = np.zeros(k)
         a[k - 1] = 1.0
-        np.testing.assert_allclose(fht_weighted_pv(a, s),
+        np.testing.assert_allclose(fht_weighted(a, s),
                                    -np.cos(k * np.arccos(s)), atol=1e-13)
 
 
@@ -272,7 +271,7 @@ def test_weighted_offcut_decay_branch():
     a = np.array([1.0])
     for z in (2.5, -2.5, 1.0 + 1.0j):
         u = z + np.sqrt(complex(z) - 1) * np.sqrt(complex(z) + 1)
-        val = fht_weighted_offcut(a, np.atleast_1d(u))[0]
+        val = fht_weighted(a, np.atleast_1d(z))[0]
         assert val == pytest.approx(-1.0 / u)
 
 
@@ -360,22 +359,40 @@ def test_piecewise_eval_and_norm():
     np.testing.assert_allclose(pf(x), x ** 2, atol=1e-13)
     # ||x^2||_{L^2}^2 = int_{-2}^{-1} + int_1^2 x^4 = 2*(31/5)
     assert pf.norm2() == pytest.approx(np.sqrt(2 * 31.0 / 5), rel=1e-12)
+    # weighted and complex pieces, long and short, against a Gauss-Legendre
+    # rule that integrates |piece|^2 (a polynomial of degree 2N) exactly
+    sys = make_interval_system([(-3, -2.5), (1, 4)])
+    rng = np.random.default_rng(9)
+    xg, wg = np.polynomial.legendre.leggauss(260)
+    for weighted in (False, True):
+        for modes in (1, 7, 200):
+            for imag in (0.0, 1.0):
+                coeffs = [rng.standard_normal(modes) + imag * 1j * rng.standard_normal(modes)
+                          for _ in range(2)]
+                pf = PiecewiseFunction(sys, coeffs, weighted=weighted)
+                for j in range(2):
+                    v = pf.piece_values(j, sys.from_unit(j, xg))
+                    ref = np.sqrt(sys.half[j] * np.sum(wg * np.abs(v) ** 2))
+                    assert abs(pf.piece_norm2(j) - ref) <= 1e-13 * ref
 
 
 def test_piece_norms_are_taken_once_per_function(monkeypatch):
+    import mifht.chebyshev
+
     sys = make_interval_system([(-2, -1), (1, 2)])
     pf = PiecewiseFunction.from_callable(sys, lambda x: x ** 2, N=8)
     calls = []
-    values = PiecewiseFunction.piece_values
+    norm = mifht.chebyshev._unit_l2_squared
 
-    def counted(self, j, x):
-        calls.append(j)
-        return values(self, j, x)
+    def counted(c, weighted):
+        calls.append(c)
+        return norm(c, weighted)
 
-    monkeypatch.setattr(PiecewiseFunction, "piece_values", counted)
+    monkeypatch.setattr(mifht.chebyshev, "_unit_l2_squared", counted)
     parts = [pf.piece_norm2(j) for j in range(2)]
     assert pf.norm2() == np.sqrt(sum(p ** 2 for p in parts)) == pf.norm2()
-    assert calls == [0, 1]
+    assert len(calls) == 2
+    assert all(c is pc for c, pc in zip(calls, pf.coeffs))
 
 
 def test_piecewise_outside_domain():

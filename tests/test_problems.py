@@ -21,11 +21,11 @@ from mifht.chebyshev import (
     PiecewiseFunction,
     cheb2_nodes,
     clenshaw_U,
-    fht_weighted_offcut,
+    fht_weighted,
 )
 from mifht.cli import main as cli_main
 from mifht.gamma import build_gamma
-from mifht.intervals import joukowski_exterior, radical_eval, unit_radical
+from mifht.intervals import radical_eval, unit_radical
 from mifht.problems import (
     ProblemSpec,
     ResultBundle,
@@ -499,7 +499,7 @@ def _ref_j(theta, f):
             grid = chebyshev2_grid(sys, _cross_nodes(sys, j, k, b.size))
             x = grid.nodes[j]
             s = sys.to_unit(k, x)
-            deriv = -fht_weighted_offcut(da, joukowski_exterior(s)) / unit_radical(s)
+            deriv = -fht_weighted(da, s) / unit_radical(s)
             g = clenshaw_U(b, sys.to_unit(j, x))
             total -= theta[j, k] * np.sum(grid.sqrt_weights[j] * g * deriv)
     return float(np.real(total))

@@ -100,14 +100,47 @@ def test_forward_side_values_plemelj(unit):
 
 def test_forward_plain_offcut_tends_to_the_boundary_values(unit):
     # H[f](s + i side d) -> H[f](s, side) as d -> 0, with a gap of about
-    # |dH/dz| d: the Cauchy transform has bounded derivative near an interior s
-    f = PiecewiseFunction.from_callable(unit, np.exp, N=20)
-    for s in (-0.6, 0.3, 0.85):
-        for side in (ABOVE, BELOW):
-            boundary = fht_forward(f, s, side=side)
-            for d in 10.0 ** -np.arange(2, 13):
-                gap = abs(fht_forward(f, s + side * 1j * d) - boundary)
-                assert gap <= 10.0 * d
+    # |dH/dz| d: the Cauchy transform has bounded derivative near an interior s.
+    # Both classes: plain exp, and weighted w exp
+    plain = PiecewiseFunction.from_callable(unit, np.exp, N=20)
+    weighted = PiecewiseFunction.from_callable(unit, lambda x: weight_fn(x) * np.exp(x),
+                                               N=20, weighted=True)
+    for f in (plain, weighted):
+        for s in (-0.6, 0.3, 0.85):
+            for side in (ABOVE, BELOW):
+                boundary = fht_forward(f, s, side=side)
+                for d in 10.0 ** -np.arange(2, 13):
+                    gap = abs(fht_forward(f, s + side * 1j * d) - boundary)
+                    assert gap <= 10.0 * d
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("side", [None, ABOVE, BELOW])
+def test_forward_mixed_real_and_complex_points_match_separate_calls(weighted, side):
+    # a complex array whose real points lie on the cut keeps the PV or the
+    # side asked for at those points: each pair [x, z] gives the values of
+    # the calls at x and at z alone, and a longer mixed array those of the
+    # calls on its real and its complex points.  Bit for bit for the weighted
+    # class; the plain recurrence divides in complex arithmetic once the
+    # array is complex, so there the values agree to rounding
+    sys = make_interval_system([(1.0, 3.0), (4.0, 5.0)])
+    f = (random_weighted(sys, 12, seed=21) if weighted
+         else PiecewiseFunction.from_callable(sys, np.cos, N=12))
+
+    def check(got, want):
+        if weighted:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    real = sys.from_unit(0, np.array([-0.8, -0.2, 0.3, 0.9]))
+    cplx = real + np.array([1e-3j, -1e-6j, 0.5j, -2j])
+    for x, z in zip(real, cplx):
+        pair = fht_forward(f, np.array([x, z]), side=side)
+        check(pair, [fht_forward(f, x, side=side), fht_forward(f, z, side=side)])
+    mixed = fht_forward(f, np.concatenate([real, cplx]), side=side)
+    check(mixed, np.concatenate([fht_forward(f, real, side=side),
+                                 fht_forward(f, cplx, side=side)]))
 
 
 def test_forward_reality_on_interval(unit):
