@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import mifht.chebyshev
 from mifht import DomainError, PiecewiseFunction, cheb_eval, cheb_project
 from mifht import make_interval_system
 from mifht.chebyshev import (
@@ -377,8 +378,6 @@ def test_piecewise_eval_and_norm():
 
 
 def test_piece_norms_are_taken_once_per_function(monkeypatch):
-    import mifht.chebyshev
-
     sys = make_interval_system([(-2, -1), (1, 2)])
     pf = PiecewiseFunction.from_callable(sys, lambda x: x ** 2, N=8)
     calls = []
