@@ -39,7 +39,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import DomainError
-from .intervals import IntervalSystem, joukowski_exterior
+from .intervals import ABOVE, BELOW, IntervalSystem, joukowski_exterior
 
 DEFAULT_MODES = 128
 
@@ -331,6 +331,8 @@ def fht_plain(b, z, side=None):
     It integrates (p(t) - p(z))/(t - z) exactly, and its error on
     p(z)/(t - z), about |p(z)| rho^(-2m), falls below eps.
     """
+    if side not in (None, ABOVE, BELOW):
+        raise DomainError("side must be None, +1 (above) or -1 (below)")
     b = np.asarray(b)
     x = np.asarray(z)
     real_axis = x.imag == 0.0

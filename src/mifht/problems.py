@@ -533,15 +533,14 @@ def _pow2_points(spec):
 
 
 def _cmd_injectivity(spec, sys, theta):
-    rep = injectivity_report(theta, sys, size=spec.param("nystrom"),
-                             seed=spec.param("seed"))
+    rep = injectivity_report(theta, sys, size=spec.param("nystrom"))
     diag = {
         "sigma_min": rep["sigma_min"],
         "sigma_max": rep["sigma_max"],
         "j_over_norm_min": rep["j_over_norm_min"],
         "spd": rep["spd"],
         "caveat": rep["caveat"],
-        "j_positive": bool(np.all(rep["j_samples"] > 0)),
+        "j_positive": rep["j_positive"],
         "sketch": rep["sketch"],
     }
     return diag, {}

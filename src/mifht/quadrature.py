@@ -1,8 +1,8 @@
 """Quadrature grids on interval systems and the principal-value oracle.
 
-The oracle is deliberately independent of the spectral machinery: it is an
-excise-and-extrapolate scheme built on adaptive panels, used to validate
-the closed-form transforms.
+The oracle is deliberately independent of the spectral machinery: it is a
+singularity subtraction integrated by fixed Gauss-Legendre rules in the
+angle of t = mid + h cos(theta), used to validate the closed-form transforms.
 """
 
 from __future__ import annotations
@@ -91,59 +91,50 @@ def _sizes(sys, M):
     return [int(m) for m in M]
 
 
-def pv_oracle(f, interval, z, tol=1e-10):
-    """(1/pi) PV int_{interval} f(t)/(t - z) dt by excision + Richardson.
+def _cosine_rule(integrand, a, b, tol=1e-10):
+    """int_a^b integrand(t) dt by Gauss-Legendre in theta, t = mid + h cos(theta).
 
-    Excising a symmetric window of radius h leaves an error with an odd
-    expansion 2 h f'(z) + h^3 f'''(z)/9 + ..., which three Richardson
-    levels in h remove.  Independent of the spectral transform path.
+    dt = h sin(theta) dtheta makes sqrt-type endpoint behaviour smooth in
+    theta.  Rules of 128 and 256 nodes must agree, else ConvergenceError.
     """
-    from scipy.integrate import quad  # test oracle only: kept off the import path
+    mid, h = 0.5 * (a + b), 0.5 * (b - a)
+    vals = []
+    for m in (128, 256):
+        x, w = _gauss_legendre(m)
+        theta = 0.5 * np.pi * (x + 1.0)
+        vals.append(0.5 * np.pi * h * (w * np.sin(theta)) @ integrand(mid + h * np.cos(theta)))
+    correction = abs(vals[1] - vals[0])
+    if correction > max(1e3 * tol, 1e-6 * (1.0 + abs(vals[1]))):
+        raise ConvergenceError(f"rules of 128 and 256 nodes differ by {correction:.3e}")
+    return vals[1]
+
+
+def _values(f, t):
+    """f at the points t: one vectorized call, or one call per point where f
+    does not return an array of t's shape (f may take scalars only)."""
+    v = np.asarray(f(t))
+    return v if v.shape == t.shape else np.array([f(x) for x in t])
+
+
+def pv_oracle(f, interval, z, tol=1e-10):
+    """(1/pi) PV int_{interval} f(t)/(t - z) dt by singularity subtraction.
+
+    PV int f/(t - z) = f(z) log((b - z)/(z - a)) + int (f(t) - f(z))/(t - z) dt,
+    whose integrand is smooth; it runs by ``_cosine_rule``.  Independent of
+    the spectral transform path.
+    """
     a, b = float(interval[0]), float(interval[1])
     z = float(z)
     if not a < z < b:
         raise DomainError("pv_oracle needs z strictly inside the interval")
-
-    def outer(h):
-        # substitute t = a + y^2 (resp. b - y^2) so sqrt-type endpoint
-        # behavior of f becomes smooth; harmless for analytic f
-        opts = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
-        ya = np.sqrt(z - h - a)
-        left = quad(lambda y: 2.0 * y * f(a + y * y) / (a + y * y - z),
-                    0.0, ya, **opts)[0]
-        yb = np.sqrt(b - z - h)
-        right = quad(lambda y: 2.0 * y * f(b - y * y) / (b - y * y - z),
-                     0.0, yb, **opts)[0]
-        return left + right
-
-    # keep the largest excision well inside the data's resolution scale so
-    # the odd-power error expansion is in its asymptotic regime
-    h0 = min(0.25 * min(z - a, b - z), (b - a) / 32.0)
-    t = np.array([outer(h0 / 2 ** k) for k in range(5)])
-    # eliminate the odd-power error terms h, h^3, h^5, h^7
-    prev_last = t[-1]
-    for p in (1, 3, 5, 7):
-        fac = 2.0 ** p
-        t = (fac * t[1:] - t[:-1]) / (fac - 1.0)
-        correction = abs(t[-1] - prev_last)
-        prev_last = t[-1]
-    if correction > max(1e3 * tol, 1e-6 * (1.0 + abs(t[-1]))):
-        raise ConvergenceError(
-            f"PV refinement stalled: last correction {correction:.3e}"
-        )
-    return t[-1] / np.pi
+    fz = _values(f, np.array([z]))[0]
+    rest = _cosine_rule(lambda t: (_values(f, t) - fz) / (t - z), a, b, tol)
+    return (fz * np.log((b - z) / (z - a)) + rest) / np.pi
 
 
 def ordinary_cauchy(f, interval, z):
-    """(1/pi) int f(t)/(t - z) dt for z off the (closed) interval."""
-    from scipy.integrate import quad
+    """(1/pi) int f(t)/(t - z) dt for z off the (closed) interval, by ``_cosine_rule``."""
     a, b = float(interval[0]), float(interval[1])
-    opts = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
-    if np.iscomplexobj(np.asarray(z)) and np.imag(z) != 0:
-        re = quad(lambda t: np.real(f(t) / (t - z)), a, b, **opts)[0]
-        im = quad(lambda t: np.imag(f(t) / (t - z)), a, b, **opts)[0]
-        return (re + 1j * im) / np.pi
-    z = np.real(z)
-    if a <= z <= b:
+    if np.imag(z) == 0 and a <= np.real(z) <= b:
         raise DomainError("point is on the interval; use pv_oracle")
-    return quad(lambda t: f(t) / (t - z), a, b, **opts)[0] / np.pi
+    return _cosine_rule(lambda t: _values(f, t) / (t - z), a, b) / np.pi

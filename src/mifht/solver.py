@@ -34,7 +34,7 @@ from .errors import (
     ZeroLambdaError,
 )
 from .intervals import IntervalSystem, joukowski_exterior, radical_eval, unit_radical
-from .quadrature import QuadratureGrid, _sizes, chebyshev2_grid, legendre_grid
+from .quadrature import QuadratureGrid, _sizes, chebyshev2_grid
 from .single import _invert_coeffs, fht_forward, range_scan
 
 SPD = "spd-symmetric"
@@ -671,17 +671,11 @@ def solve_phi(theta, psi: PiecewiseFunction, size=96) -> SolveResult:
     return SolveResult(phi=phi, c=c, nu=nu, nystrom=ns, diagnostics=diag)
 
 
-def _piece_rule(pf: PiecewiseFunction, k, size):
-    """Nodes x and weights w on I_k with sum w h(x) = int_{I_k} pf_k(y) h(y) dy.
-
-    The Gauss rule of the piece's weight class, with ``size`` nodes.
-    """
-    sub = IntervalSystem([pf.sys.endpoints[k]])
-    if pf.weighted:
-        grid = chebyshev2_grid(sub, size)
-        return grid.nodes[0], grid.sqrt_weights[0] * cheb.chebU_nodal(pf.coeffs[k], size)
-    grid = legendre_grid(sub, size)
-    return grid.nodes[0], grid.weights[0] * pf.piece_values(k, grid.nodes[0])
+def _cheb2_rule(sys: IntervalSystem, k, size):
+    """The Chebyshev-2 rule of ``size`` nodes on I_k: nodes x and weights sw
+    with sum sw g(x) = int_{I_k} w_k g dx."""
+    grid = chebyshev2_grid(IntervalSystem([sys.endpoints[k]]), size)
+    return grid.nodes[0], grid.sqrt_weights[0]
 
 
 def _range2_moments(theta, phi: PiecewiseFunction):
@@ -691,6 +685,9 @@ def _range2_moments(theta, phi: PiecewiseFunction):
     against every row of g, sized by ``_cross_nodes`` for the nearest other
     interval (g_m is analytic off I_m).
     """
+    if not phi.weighted:
+        raise ValueError("the range moments are defined here for sqrt-vanishing "
+                         "(weighted) functions")
     theta = as_theta(theta)
     sys = phi.sys
     out = np.zeros(sys.n, dtype=complex)
@@ -699,8 +696,8 @@ def _range2_moments(theta, phi: PiecewiseFunction):
     for k in range(sys.n):
         size = max(_cross_nodes(sys, k, m, phi.coeffs[k].shape[0])
                    for m in range(sys.n) if m != k)
-        x, w = _piece_rule(phi, k, size)
-        out += kernel_g(sys, theta, k, x) @ w
+        x, sw = _cheb2_rule(sys, k, size)
+        out += kernel_g(sys, theta, k, x) @ (sw * cheb.chebU_nodal(phi.coeffs[k], size))
     return np.diag(theta.entries) * out / np.pi
 
 
@@ -741,54 +738,58 @@ def _cross_nodes(sys: IntervalSystem, j, k, modes):
     return int(np.ceil(0.5 * (_decay_modes(sys, j, k) + modes))) + 2
 
 
-def _j_form(theta, fs, gs):
-    """J(f_p, g_p) for each pair, from the weighted-U coefficients.
+def _j_gram(theta, sys: IntervalSystem, modes):
+    """The matrix G of J on ``modes`` weighted-U modes per interval.
 
-    J(f, g) = -sum_jk theta_jk int_{I_j} conj(g_j) (H_k f_k)' dx, the
-    Dirichlet form of (1/2pi) sum_jk theta_jk int |xi| f~_k conj(g~_j) dxi.
-    With f_k = w_k sum_n a_n U_n and g_j = w_j sum_m b_m U_m on the unit
-    variable s of each interval:
+    J(f, g) = conj(b) G a for the stacked coefficients a of f and b of g
+    (block (j, k): rows on I_j, columns on I_k).  J(f, g) = -sum_jk theta_jk
+    int_{I_j} conj(g_j) (H_k f_k)' dx, the Dirichlet form of
+    (1/2pi) sum_jk theta_jk int |xi| f~_k conj(g~_j) dxi.  With
+    f_k = w_k sum_n a_n U_n on the unit variable s of each interval:
 
     * j == k: (H_k f_k)' = -sum_n (n+1) a_n U_n(s) on the cut
-      (d/ds T_{n+1} = (n+1) U_n), so U-orthogonality leaves exactly
-      theta_kk (pi h_k^2 / 2) sum_n (n+1) a_n conj(b_n);
+      (d/ds T_{n+1} = (n+1) U_n), so U-orthogonality leaves the diagonal
+      theta_kk (pi h_k^2 / 2) (n+1);
     * j != k: (H_k f_k)'(x) = sum_n (n+1) a_n u_k^{-(n+1)} / sqrt(s_k^2 - 1),
-      smooth on I_j, integrated against g_j by Gauss-Chebyshev-2.
+      smooth on I_j, integrated against each U_m by Gauss-Chebyshev-2.
     """
     theta = as_theta(theta)
+    n1 = np.arange(1, modes + 1)
+    gram = np.zeros((sys.n * modes, sys.n * modes))
+    for j in range(sys.n):
+        for k in range(sys.n):
+            if theta[j, k] == 0.0:
+                continue
+            block = gram[j * modes: (j + 1) * modes, k * modes: (k + 1) * modes]
+            if j == k:
+                np.fill_diagonal(block, theta[k, k] * 0.5 * np.pi * sys.half[k] ** 2 * n1)
+                continue
+            size = _cross_nodes(sys, j, k, modes)
+            x, sw = _cheb2_rule(sys, j, size)
+            s = sys.to_unit(k, x)
+            powers = cheb.exterior_powers(joukowski_exterior(s), modes)
+            deriv = (n1[:, None] * powers / unit_radical(s)).real  # real off I_k
+            block[:] = -theta[j, k] * (cheb.chebU_nodal(np.eye(modes), size) * sw) @ deriv.T
+    return gram
+
+
+def _j_form(theta, fs, gs):
+    """J(f_p, g_p) for each pair: conj(b) G a on the zero-padded stacked
+    coefficients, with G from ``_j_gram``."""
     sys = fs[0].sys
     if not all(pf.weighted for pf in (*fs, *gs)):
         raise ValueError("J is defined here for sqrt-vanishing (weighted) functions")
+    modes = max(c.shape[0] for pf in (*fs, *gs) for c in pf.coeffs)
 
-    def stacked(pfs, j):  # (pairs, modes) zero-padded coefficients on I_j
-        out = np.zeros((len(pfs), max(pf.coeffs[j].shape[0] for pf in pfs)),
-                       dtype=np.result_type(*(pf.coeffs[j] for pf in pfs)))
+    def stacked(pfs):
+        out = np.zeros((len(pfs), sys.n, modes), dtype=complex)
         for p, pf in enumerate(pfs):
-            out[p, : pf.coeffs[j].shape[0]] = pf.coeffs[j]
-        return out
+            for j, c in enumerate(pf.coeffs):
+                out[p, j, : c.shape[0]] = c
+        return out.reshape(len(pfs), -1)
 
-    out = np.zeros(len(fs), dtype=complex)
-    for k in range(sys.n):
-        da = stacked(fs, k)
-        da = da * np.arange(1, da.shape[1] + 1)  # (n+1) a_n
-        for j in range(sys.n):
-            if theta[j, k] == 0.0:
-                continue
-            b = stacked(gs, j)
-            if j == k:
-                m = min(da.shape[1], b.shape[1])
-                out += theta[k, k] * 0.5 * np.pi * sys.half[k] ** 2 * np.sum(
-                    da[:, :m] * np.conj(b[:, :m]), axis=1)
-                continue
-            grid = chebyshev2_grid(IntervalSystem([sys.endpoints[j]]),
-                                   _cross_nodes(sys, j, k, b.shape[1]))
-            x = grid.nodes[0]
-            s = sys.to_unit(k, x)
-            powers = cheb.exterior_powers(joukowski_exterior(s), da.shape[1])
-            deriv = (da @ powers) / unit_radical(s)
-            g = cheb.chebU_nodal(b, x.size)
-            out -= theta[j, k] * (np.conj(g) * deriv) @ grid.sqrt_weights[0]
-    return np.real(out)
+    gram = _j_gram(theta, sys, modes)
+    return np.real(np.sum(np.conj(stacked(gs)) * (stacked(fs) @ gram.T), axis=1))
 
 
 def bilinear_form_J(theta, f: PiecewiseFunction, g=None):
@@ -815,27 +816,33 @@ def random_sqrt_vanishing(sys: IntervalSystem, modes=24, seed=0,
     return PiecewiseFunction(sys, coeffs, weighted=True, field="real")
 
 
-def injectivity_report(theta, sys: IntervalSystem, size=96, n_samples=20,
-                       seed=1234):
+def injectivity_report(theta, sys: IntervalSystem, size=96):
     """Numerical injectivity evidence at the chosen discretization.
 
-    Reports the smallest singular value of Id - K and the minimum of
-    J(f, f)/||f||^2 over random sqrt-vanishing samples; non-SPD matrices get
-    a recorded caveat since positivity of J is only guaranteed for SPD.
+    Reports the smallest singular value of Id - K and the least J(f, f)/||f||^2
+    over f with 16 weighted-U modes per interval: the least eigenvalue of the
+    symmetric part of ``_j_gram`` against the L2 Gram matrix, block diagonal
+    with h_k^3 (tau_{|m-n|} - tau_{m+n+2})/2 (``chebyshev._unit_l2_squared``).
+    Non-SPD matrices get a recorded caveat since positivity of J is only
+    guaranteed for SPD.
     """
     theta = as_theta(theta)
     theta.require_invertible_diagonal()
     ns = assemble_K(sys, theta, size=size, lam=1.0)
     sigma_min, sigma_max, _ = extreme_singular_values(ns)
-    rng = np.random.default_rng(seed)
-    fs = [random_sqrt_vanishing(sys, modes=16, rng=rng) for _ in range(n_samples)]
-    jvals = bilinear_form_J_many(theta, fs)
-    norms = np.array([f.norm2() ** 2 for f in fs])
+    modes = 16
+    gram = _j_gram(theta, sys, modes)
+    m = np.arange(modes)[:, None]
+    tau = cheb._chebT_moments(2 * modes + 1)
+    unit = 0.5 * (tau[np.abs(m - m.T)] - tau[m + m.T + 2])
+    l2 = scipy.linalg.block_diag(*(h ** 3 * unit for h in sys.half))
+    j_min = float(scipy.linalg.eigh(0.5 * (gram + gram.T), l2, eigvals_only=True,
+                                    subset_by_index=[0, 0])[0])
     return {
         "sigma_min": sigma_min,
         "sigma_max": sigma_max,
-        "j_over_norm_min": float(np.min(jvals / norms)),
-        "j_samples": jvals,
+        "j_over_norm_min": j_min,
+        "j_positive": j_min > 0,
         "spd": theta.classification == SPD,
         "sketch": ns.sketch,
         "caveat": None if theta.classification == SPD else

@@ -142,8 +142,7 @@ def test_criterion_3_oracle_agreement():
     f = random_sqrt_vanishing(sys, modes=32, rng=rng)
     pts = rng.uniform(-0.95, 0.95, 50)
     spectral = fht_forward(f, pts)
-    fn = lambda t: float(f(np.atleast_1d(t))[0])
-    worst = max(abs(s - pv_oracle(fn, (-1, 1), x)) for x, s in zip(pts, spectral))
+    worst = max(abs(s - pv_oracle(f, (-1, 1), x)) for x, s in zip(pts, spectral))
     assert report("3 spectral forward vs PV oracle", worst, 1e-9)
 
 

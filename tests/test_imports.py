@@ -100,8 +100,9 @@ def test_every_attribute_set_on_self_is_read():
 
 
 def test_importing_the_package_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves the quadrature oracles only, which import it
-    # when called, so a cold start of the package or the CLI skips it
+    # nothing in the package uses scipy.integrate (the quadrature oracles run
+    # fixed Gauss-Legendre rules), so a cold start of the package or the CLI
+    # must not load it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys, mifht, mifht.cli; "
             "print('scipy.integrate' in sys.modules)")

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mifht.gamma
 import mifht.problems
@@ -512,10 +513,27 @@ def test_injectivity_diagnostics_match_per_point_reference():
                          "nystrom = 40\nseed = 5\n")
     d = run_command(spec).diagnostics
     sys, theta = spec.system(), spec.theta_matrix()
+    # the least J(f, f)/||f||^2 over 16 U modes per interval: both Gram
+    # matrices by polarization of the quadratic forms on the unit vectors
+    def f(c):
+        return PiecewiseFunction(sys, np.split(c, sys.n), weighted=True, field="real")
+
+    def gram(q):
+        eye = np.eye(16 * sys.n)
+        g = np.diag([q(e) for e in eye])
+        for i, k in zip(*np.triu_indices(eye.shape[0], 1)):
+            g[i, k] = g[k, i] = 0.5 * (q(eye[i] + eye[k]) - g[i, i] - g[k, k])
+        return g
+
+    forms = [lambda c: _ref_j(theta, f(c)), lambda c: f(c).norm2() ** 2]
+    j_min = scipy.linalg.eigh(*map(gram, forms), eigvals_only=True)[0]
+    assert abs(d["j_over_norm_min"] - j_min) <= 1e-12 * abs(j_min)
+    assert d["j_positive"] is True
+    # no function of the former 20-sample recipe falls below the minimum
     rng = np.random.default_rng(5)
     fs = [random_sqrt_vanishing(sys, modes=16, rng=rng) for _ in range(20)]
     ratio = min(_ref_j(theta, f) / f.norm2() ** 2 for f in fs)
-    assert abs(d["j_over_norm_min"] - ratio) <= 1e-13 * abs(ratio)
+    assert ratio >= d["j_over_norm_min"] * (1.0 - 1e-12)
     dense = np.linalg.svd(assemble_K(sys, theta, size=40).matrix, compute_uv=False)
     assert abs(d["sigma_min"] - dense[-1]) <= 1e-13
     assert abs(d["sigma_max"] - dense[0]) <= 1e-13

@@ -73,9 +73,8 @@ def test_forward_oracle_equivalence(unit):
     rng = np.random.default_rng(12)
     pts = rng.uniform(-0.95, 0.95, 50)
     spectral = fht_forward(f, pts)
-    fn = lambda t: float(f(np.atleast_1d(t))[0])
     for x, got in zip(pts, spectral):
-        assert got == pytest.approx(pv_oracle(fn, (-1, 1), x), abs=1e-9)
+        assert got == pytest.approx(pv_oracle(f, (-1, 1), x), abs=1e-9)
 
 
 def test_forward_plain_oracle_equivalence(unit):
@@ -85,6 +84,14 @@ def test_forward_plain_oracle_equivalence(unit):
     for x in (-0.7, 0.05, 0.81):
         oracle = pv_oracle(lambda t: pf(np.atleast_1d(t))[0], (-1, 1), x)
         assert fht_forward(pf, x) == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "plain"])
+@pytest.mark.parametrize("side", [0, 2])
+def test_forward_rejects_a_side_other_than_above_or_below(unit, weighted, side):
+    f = PiecewiseFunction(unit, [np.array([1.0, 0.5, 0.25])], weighted=weighted)
+    with pytest.raises(DomainError):
+        fht_forward(f, 0.3, side=side)
 
 
 def test_forward_side_values_plemelj(unit):

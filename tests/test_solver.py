@@ -381,7 +381,7 @@ def test_each_operator_is_sketched_once(monkeypatch):
         extreme_singular_values(ns)
     solve_phi(theta, forward_map(theta, random_sqrt_vanishing(sys, modes=8)), size=96)
     build_gamma(sys, theta, lam=1.0, size=96)
-    injectivity_report(theta, sys, size=96, n_samples=2)
+    injectivity_report(theta, sys, size=96)
     assert len(runs) == 1
     assert all(ns.basis is ops[0].basis and ns.rows is ops[0].rows for ns in ops)
     clear_kernel_cache()
@@ -422,7 +422,7 @@ def test_a_warm_cache_changes_no_output(sys3, theta3):
         return g.nystrom.kernel, [g.density, g.f_residual, g.eval(points)]
 
     def report():
-        return None, injectivity_report(theta3, sys3, size=48, n_samples=3)
+        return None, injectivity_report(theta3, sys3, size=48)
 
     def invert():
         bundle = run_command(parse_problem(SPD3_INVERT))
@@ -631,7 +631,7 @@ def test_reported_sigmas_match_dense_svd(sys3, theta3):
     dense_min, dense_max = _dense_sigmas(res.nystrom)
     assert abs(res.diagnostics["sigma_min"] - dense_min) <= 1e-12
     assert abs(res.diagnostics["sigma_max"] - dense_max) <= 1e-12
-    rep = injectivity_report(theta3, sys3, size=64, n_samples=2)
+    rep = injectivity_report(theta3, sys3, size=64)
     assert abs(rep["sigma_min"] - dense_min) <= 1e-12
     assert abs(rep["sigma_max"] - dense_max) <= 1e-12
 
@@ -681,6 +681,8 @@ def test_residual_range2_zero_case(sys2, theta2):
     phi = PiecewiseFunction.zeros(sys2, 6, weighted=True)
     r = residual_range2(theta2, phi, np.zeros(2))
     np.testing.assert_allclose(r, 0.0, atol=1e-15)
+    with pytest.raises(ValueError):  # the moments need a sqrt-vanishing phi
+        residual_range2(theta2, PiecewiseFunction.zeros(sys2, 6), np.zeros(2))
 
 
 def test_residual_range2_on_solution(sys2, theta2):
@@ -790,22 +792,21 @@ def test_J_cross_nodes_resolve_a_small_gap(monkeypatch):
 
 
 def test_injectivity_report_diagonal(sys2):
-    rep = injectivity_report(ThetaMatrix(np.eye(2)), sys2, size=24, n_samples=3)
+    rep = injectivity_report(ThetaMatrix(np.eye(2)), sys2, size=24)
     assert rep["sigma_min"] == pytest.approx(1.0)
     assert rep["caveat"] is None
 
 
 def test_injectivity_report_spd(sys2):
     th = ThetaMatrix([[2.0, 1.0], [1.0, 2.0]])
-    rep = injectivity_report(th, sys2, size=32, n_samples=5)
+    rep = injectivity_report(th, sys2, size=32)
     assert rep["sigma_min"] > 0
     assert rep["j_over_norm_min"] > 0
     assert rep["spd"] is True
 
 
 def test_injectivity_report_uniform_flags_caveat(sys2):
-    rep = injectivity_report(ThetaMatrix(np.ones((2, 2))), sys2, size=24,
-                             n_samples=3)
+    rep = injectivity_report(ThetaMatrix(np.ones((2, 2))), sys2, size=24)
     assert rep["caveat"] is not None
     assert rep["sigma_min"] > 0
 
