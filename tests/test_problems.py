@@ -515,7 +515,7 @@ def test_injectivity_diagnostics_match_per_point_reference():
     sys, theta = spec.system(), spec.theta_matrix()
     # the least J(f, f)/||f||^2 over 16 U modes per interval: both Gram
     # matrices by polarization of the quadratic forms on the unit vectors
-    def f(c):
+    def as_function(c):
         return PiecewiseFunction(sys, np.split(c, sys.n), weighted=True, field="real")
 
     def gram(q):
@@ -525,7 +525,7 @@ def test_injectivity_diagnostics_match_per_point_reference():
             g[i, k] = g[k, i] = 0.5 * (q(eye[i] + eye[k]) - g[i, i] - g[k, k])
         return g
 
-    forms = [lambda c: _ref_j(theta, f(c)), lambda c: f(c).norm2() ** 2]
+    forms = [lambda c: _ref_j(theta, as_function(c)), lambda c: as_function(c).norm2() ** 2]
     j_min = scipy.linalg.eigh(*map(gram, forms), eigvals_only=True)[0]
     assert abs(d["j_over_norm_min"] - j_min) <= 1e-12 * abs(j_min)
     assert d["j_positive"] is True
