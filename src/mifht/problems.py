@@ -508,8 +508,8 @@ def _nojump_residuals(gam, pts):
 def _cmd_uniform_invert(spec, sys, theta):
     if theta.classification != "uniform":
         raise SchemaError("uniform-invert requires theta = uniform")
-    g = build_rhs(spec, sys, theta)
     grid = TGrid(npoints=_pow2_points(spec), dt=spec.param("dt"))
+    g = build_rhs(spec, sys, theta)
     sd = build_spectral_data(sys)
     f, verdict = uniform_invert_with_verdict(sd, g, grid,
                                              range_tol=spec.param("tol"))
@@ -528,8 +528,16 @@ def _cmd_uniform_invert(spec, sys, theta):
 
 
 def _pow2_points(spec):
-    n = int(round(2 * spec.param("tmax") / spec.param("dt")))
-    return 1 << max(8, (n - 1).bit_length())
+    """The least power of two, at least 2^8, that holds 2 tmax / dt points.
+
+    Grids above 2^16 points (16 times the default; tmax 200, the limit of
+    the inverse maps, at dt = 1/128) are rejected before any is allocated.
+    """
+    n = np.rint(2 * spec.param("tmax") / spec.param("dt"))
+    if n > 1 << 16:
+        raise SchemaError(f"2 tmax / dt = {n:.3g} t-grid points, above the "
+                          "limit of 2^16: raise dt or lower tmax")
+    return 1 << max(8, (int(n) - 1).bit_length())
 
 
 def _cmd_injectivity(spec, sys, theta):

@@ -45,8 +45,6 @@ _polysub = np.polynomial.polynomial.polysub
 
 TABLE_LIMIT = 400.0       # largest |2t| the inverse maps accept
 NEWTON_MAX_ITER = 60      # enough for bisection alone to reach rounding
-LAMBDA0 = 0.25            # window of the low-frequency range diagnostic
-MULTIPLIER_FLOOR = 1e-8   # multiplier values below this are not divided by
 EXTRA_MODES = 8           # output modes beyond those of the input
 BOUNDARY_TOL = 1e-8       # trusted share of channel energy near the t-grid ends
 
@@ -390,10 +388,14 @@ def apply_T_inverse(sd: SpectralData, cv: ChannelVector, points=None):
 
 
 def _mixed_spectrum(sd, f, grid):
-    """F M T f, and the share of the energy of T f near the t-grid boundary."""
+    """F M T f, its first moment and the boundary share of the energy of T f.
+
+    The first moment dt sum_q t_q (M T f)(t_q) is -i times the slope of the
+    spectrum at lambda = 0.
+    """
     cv = apply_T(sd, f, grid)
     mixed = np.einsum("jkp,kp->jp", sd.tables(grid)["mix"], cv.data)
-    return forward_ft(grid, mixed), cv.boundary_fraction()
+    return forward_ft(grid, mixed), grid.dt * (mixed @ grid.t), cv.boundary_fraction()
 
 
 def _demix_to_function(sd, spec, grid, weighted, source):
@@ -423,7 +425,7 @@ def uniform_forward(sd: SpectralData, f: PiecewiseFunction, grid: TGrid = None
                     ) -> PiecewiseFunction:
     """Multi-interval transform of f through the diagonalization."""
     grid = grid or TGrid()
-    spec, _ = _mixed_spectrum(sd, f, grid)
+    spec = _mixed_spectrum(sd, f, grid)[0]
     mult = 1j * np.tanh(np.pi * grid.lam / 2.0)
     return _demix_to_function(sd, mult[None, :] * spec, grid, weighted=False, source=f)
 
@@ -435,33 +437,23 @@ def uniform_range_check(sd: SpectralData, g: PiecewiseFunction,
     In-range data has (F M T g)_m vanishing at lambda = 0; the test statistic
     is the energy the DC bin would contribute to (1/lambda)(F M T g)_m under
     half-bin regularization, 4 |spec_m(0)|^2 / dlam, compared against
-    tol * ||g||^2.  The windowed energy over 0 < |lambda| < LAMBDA0 is
-    reported as a diagnostic (it stays finite on any fixed grid, so it
-    cannot by itself separate in-range from out-of-range data), and so is
-    the share of the energy of T g in the outer tenth of the t-grid,
-    ``t_boundary_fraction``: above ``BOUNDARY_TOL`` the grid truncates the
-    channels and the DC test can reject in-range data.
+    tol * ||g||^2.  The share of the energy of T g in the outer tenth of
+    the t-grid, ``t_boundary_fraction``, is reported with it: above
+    ``BOUNDARY_TOL`` the grid truncates the channels and the DC test can
+    reject in-range data.
     """
-    return _range_verdict(sd, g, grid or TGrid(), tol)[1]
+    return _range_verdict(sd, g, grid or TGrid(), tol)[2]
 
 
 def _range_verdict(sd, g, grid, tol):
-    """The mixed spectrum of g and the range verdict on it, as (spec, verdict)."""
-    spec, frac = _mixed_spectrum(sd, g, grid)
-    dlam = grid.dlam
-    lam = grid.lam
+    """The mixed spectrum of g, its first moment and the range verdict on it."""
+    spec, moment, frac = _mixed_spectrum(sd, g, grid)
     norm2 = g.norm2() ** 2
-    dc_energy = 4.0 * np.abs(spec[:, 0]) ** 2 / dlam
-    window = (np.abs(lam) > 0) & (np.abs(lam) < LAMBDA0)
-    windowed = np.sum(np.abs(spec[:, window] / lam[None, window]) ** 2,
-                      axis=1) * dlam
-    passed = bool(np.all(dc_energy <= tol * norm2))
-    return spec, {
-        "pass": passed,
+    dc_energy = 4.0 * np.abs(spec[:, 0]) ** 2 / grid.dlam
+    return spec, moment, {
+        "pass": bool(np.all(dc_energy <= tol * norm2)),
         "dc_energy": dc_energy,
-        "windowed_energy": windowed,
         "tolerance": tol * norm2,
-        "lambda0": LAMBDA0,
         "t_boundary_fraction": frac,
     }
 
@@ -470,9 +462,11 @@ def uniform_invert(sd: SpectralData, g: PiecewiseFunction, grid: TGrid = None
                    ) -> PiecewiseFunction:
     """Inverse transform (F M T)^{-1} (i tanh(pi lambda/2))^{-1} (F M T) g.
 
-    Frequencies where the multiplier is below ``MULTIPLIER_FLOOR`` are
-    excluded (only lambda = 0 at the default grid); their energy is exactly
-    the range diagnostic, so the range check runs first.
+    The multiplier vanishes only at lambda = 0, where the range condition
+    lives, so the range check runs first.  In-range data has a spectrum
+    that vanishes there too, and the quotient's lambda = 0 bin is the limit
+    spec'(0) / (i pi / 2) = (2 / pi) dt sum_q t_q (M T g)(t_q), the first
+    moment of the mixed channels; every other bin is divided directly.
     """
     return uniform_invert_with_verdict(sd, g, grid)[0]
 
@@ -485,7 +479,7 @@ def uniform_invert_with_verdict(sd: SpectralData, g: PiecewiseFunction,
     the inversion uses, so the spectrum of g is computed once.
     """
     grid = grid or TGrid()
-    spec, verdict = _range_verdict(sd, g, grid, range_tol)
+    spec, moment, verdict = _range_verdict(sd, g, grid, range_tol)
     if not verdict["pass"]:
         msg = ("low-frequency energy test failed: dc_energy = "
                f"{verdict['dc_energy']} > {verdict['tolerance']:.3e}")
@@ -495,18 +489,8 @@ def uniform_invert_with_verdict(sd: SpectralData, g: PiecewiseFunction,
                     f"{BOUNDARY_TOL:.0e}, so the grid may be too short: "
                     "increase tmax")
         raise RangeViolationError(msg)
-    mult = 1j * np.tanh(np.pi * grid.lam / 2.0)
-    inv = np.zeros_like(mult)
-    keep = np.abs(mult) >= MULTIPLIER_FLOOR
-    inv[keep] = 1.0 / mult[keep]
-    recovered = inv[None, :] * spec
-    # the guarded dc bin carries finite weight on the discrete grid; the
-    # spectrum of the preimage is continuous there, so refill it from the
-    # neighbors (degree-5 symmetric interpolation, O(dlam^6) defect)
-    if not keep[0]:
-        w6 = np.array([0.75, -0.3, 0.05])
-        recovered[:, 0] = sum(
-            w6[r] * (recovered[:, r + 1] + recovered[:, -(r + 1)])
-            for r in range(3))
+    recovered = np.empty_like(spec)
+    recovered[:, 0] = (2.0 / np.pi) * moment
+    recovered[:, 1:] = spec[:, 1:] / (1j * np.tanh(np.pi * grid.lam[1:] / 2.0))
     f = _demix_to_function(sd, recovered, grid, weighted=True, source=g)
     return f, verdict

@@ -695,6 +695,21 @@ def test_cli_malformed_input_exits_2(case, tmp_path, capsys):
     assert MALFORMED_ERROR.get(case, "SchemaError") in capsys.readouterr().err
 
 
+def test_uniform_invert_rejects_an_oversized_t_grid(tmp_path, capsys, monkeypatch):
+    """dt = 1e-9 asks for 2^36 points: exit 2 before any table is built."""
+    def unreachable(sys):
+        raise AssertionError("spectral data built for a rejected t-grid")
+
+    monkeypatch.setattr(mifht.problems, "build_spectral_data", unreachable)
+    prob = tmp_path / "p.txt"
+    prob.write_text(UNIFORM1 + "dt = 1e-9\n")
+    assert cli_main(["uniform-invert", "--problem", str(prob)]) == 2
+    assert "SchemaError" in capsys.readouterr().err
+    # the largest grid the inverse maps can fill, tmax 200 at dt 1/128
+    spec = parse_problem(UNIFORM1 + "tmax = 200\ndt = 0.0078125\n")
+    assert mifht.problems._pow2_points(spec) == 1 << 16
+
+
 def test_cli_writes_output(tmp_path):
     prob = tmp_path / "p.txt"
     prob.write_text(MINIMAL)
